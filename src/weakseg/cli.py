@@ -29,11 +29,16 @@ class DataError(Exception):
     pass
 
 
+class UsageError(Exception):
+    """A bad invocation: arguments, config file or environment (exit 1)."""
+
+
 def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("WEAKSEG_THREADS", "1")))
-    except ValueError:
-        return 1
+    raw = os.environ.get("WEAKSEG_THREADS", "1")
+    if not raw.isdecimal() or int(raw) < 1:
+        raise UsageError(f"WEAKSEG_THREADS must be a positive integer, "
+                         f"got {raw!r}")
+    return int(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +99,13 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = weaktrain.train_config_from_json(Path(args.config).read_text()) \
-        if args.config else weaktrain.TrainConfig()
+    cfg = weaktrain.TrainConfig()
+    if args.config:
+        text = Path(args.config).read_text()
+        try:
+            cfg = weaktrain.train_config_from_json(text)
+        except ValueError as exc:
+            raise UsageError(f"config {args.config}: {exc}") from exc
     if args.rls_region:
         cfg = replace(cfg, rls_region=args.rls_region.replace("-", "_"))
     dataset = load_dataset(Path(args.data))
@@ -343,6 +353,9 @@ def cli_main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (DataError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

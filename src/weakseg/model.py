@@ -11,6 +11,7 @@ taking the previous head's map as an extra input channel.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -45,14 +46,48 @@ def _pad1(x: np.ndarray, mode: str) -> np.ndarray:
     return np.pad(x, ((0, 0), (1, 1), (1, 1)), mode="wrap")
 
 
+class ConvWorkspace:
+    """Reusable buffers of one conv layer: the im2col matrix ``col``
+    (forward), its gradient ``dcol`` and the padded input gradient ``dxp``
+    (backward). Each kind is one flat array, grown when a call needs more and
+    viewed at the call's shape, so inputs of varying size reuse it too."""
+
+    def __init__(self):
+        self._flat = {}
+
+    def buffer(self, kind: str, shape) -> np.ndarray:
+        n = math.prod(shape)
+        flat = self._flat.get(kind)
+        if flat is None or flat.size < n:
+            flat = self._flat[kind] = np.empty(n)
+        return flat[:n].reshape(shape)
+
+
+CONV_LAYERS = ("enc0", "enc1", "enc2", "enc3", "dec0", "dec1", "dec2")
+
+
+def new_workspace() -> dict:
+    """One ConvWorkspace per conv layer, for ``forward(..., workspace=)``.
+    Keyed by layer, not by shape: the ``col`` buffers of enc2, enc3 and dec0
+    share a shape, and each must survive from forward until backward."""
+    return {name: ConvWorkspace() for name in CONV_LAYERS}
+
+
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1,
-           pad_mode: str = "zero"):
-    """3x3 convolution, pad 1. Returns (out, cache for conv2d_backward)."""
+           pad_mode: str = "zero", workspace: ConvWorkspace | None = None):
+    """3x3 convolution, pad 1. Returns (out, cache for conv2d_backward).
+
+    With no workspace every buffer is freshly allocated. With one, im2col
+    writes into its ``col`` buffer, which the cache refers to, and
+    conv2d_backward takes ``dcol`` and ``dxp`` from it: the cache is then
+    valid only until the next conv2d call with that same workspace."""
+    if workspace is None:
+        workspace = ConvWorkspace()
     cin, h, wd = x.shape
     cout = w.shape[0]
     xp = _pad1(x, pad_mode)
     ho, wo = h // stride, wd // stride
-    col = np.empty((cin, 3, 3, ho, wo))
+    col = workspace.buffer("col", (cin, 3, 3, ho, wo))
     for di in range(3):
         for dj in range(3):
             col[:, di, dj] = xp[:, di:di + (ho - 1) * stride + 1:stride,
@@ -60,18 +95,26 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1,
     col2 = col.reshape(cin * 9, ho * wo)
     out = (w.reshape(cout, cin * 9) @ col2).reshape(cout, ho, wo) \
         + b[:, None, None]
-    return out, (col2, x.shape, w, stride, pad_mode)
+    return out, (col2, x.shape, w, stride, pad_mode, workspace)
 
 
-def conv2d_backward(dout: np.ndarray, cache):
-    col2, xshape, w, stride, pad_mode = cache
+def conv2d_backward(dout: np.ndarray, cache, input_grad: bool = True):
+    """Returns (dx, dw, db); dx is None when input_grad is false. dx is a view
+    of the ``dxp`` buffer of the cache's workspace (one of its own when
+    conv2d had none), valid until the next backward into that buffer."""
+    col2, xshape, w, stride, pad_mode, workspace = cache
     cin, h, wd = xshape
     cout, ho, wo = dout.shape
     dflat = dout.reshape(cout, ho * wo)
     dw = (dflat @ col2.T).reshape(w.shape)
     db = dflat.sum(axis=1)
-    dcol = (w.reshape(cout, cin * 9).T @ dflat).reshape(cin, 3, 3, ho, wo)
-    dxp = np.zeros((cin, h + 2, wd + 2))
+    if not input_grad:
+        return None, dw, db
+    dcol = np.matmul(w.reshape(cout, cin * 9).T, dflat,
+                     out=workspace.buffer("dcol", (cin * 9, ho * wo)))
+    dcol = dcol.reshape(cin, 3, 3, ho, wo)
+    dxp = workspace.buffer("dxp", (cin, h + 2, wd + 2))
+    dxp.fill(0.0)
     for di in range(3):
         for dj in range(3):
             dxp[:, di:di + (ho - 1) * stride + 1:stride,
@@ -211,37 +254,51 @@ def scale_attention_backward(dout: np.ndarray, cache, params: dict):
 # ---------------------------------------------------------------------------
 # forward / backward
 
-def forward(img: np.ndarray, params: dict, cfg: ArchConfig):
+def forward(img: np.ndarray, params: dict, cfg: ArchConfig,
+            workspace: dict | None = None):
     """Run the segmenter; returns (p1, p2, p3, cache) with maps at 1/4, 1/2
-    and full resolution."""
+    and full resolution.
+
+    ``workspace`` (from new_workspace) lends the convs reusable buffers; a
+    cache made with one is valid only until the next forward with that same
+    workspace. Without one every buffer is fresh, as concurrent callers
+    need."""
     img = np.asarray(img, dtype=np.float64)
     h, w = img.shape
     if h % 4 or w % 4:
         raise ValueError(f"input dims must be divisible by 4, got {h}x{w}")
     pm = cfg.pad_mode
+    ws = new_workspace() if workspace is None else workspace
     x = img[None]
-    pre0, c0 = conv2d(x, params["enc0_w"], params["enc0_b"], 2, pm)
+    pre0, c0 = conv2d(x, params["enc0_w"], params["enc0_b"], 2, pm,
+                      ws["enc0"])
     e0 = relu(pre0)
-    pre1, c1 = conv2d(e0, params["enc1_w"], params["enc1_b"], 1, pm)
+    pre1, c1 = conv2d(e0, params["enc1_w"], params["enc1_b"], 1, pm,
+                      ws["enc1"])
     f1 = relu(pre1)
-    pre2, c2 = conv2d(f1, params["enc2_w"], params["enc2_b"], 2, pm)
+    pre2, c2 = conv2d(f1, params["enc2_w"], params["enc2_b"], 2, pm,
+                      ws["enc2"])
     e2 = relu(pre2)
-    pre3, c3 = conv2d(e2, params["enc3_w"], params["enc3_b"], 1, pm)
+    pre3, c3 = conv2d(e2, params["enc3_w"], params["enc3_b"], 1, pm,
+                      ws["enc3"])
     f2 = relu(pre3)
     u2 = up2(f2)
     if cfg.sa_enabled:
         fused, sa_cache = scale_attention_fuse(f1, u2, params)
     else:
         fused, sa_cache = 0.5 * (f1 + u2), None
-    pre4, c4 = conv2d(fused, params["dec0_w"], params["dec0_b"], 2, pm)
+    pre4, c4 = conv2d(fused, params["dec0_w"], params["dec0_b"], 2, pm,
+                      ws["dec0"])
     d1 = relu(pre4)
     p1 = sigmoid(conv1x1(d1, params["head1_w"], params["head1_b"]))
     x2 = up2(np.concatenate([d1, p1[None]], axis=0))
-    pre5, c5 = conv2d(x2, params["dec1_w"], params["dec1_b"], 1, pm)
+    pre5, c5 = conv2d(x2, params["dec1_w"], params["dec1_b"], 1, pm,
+                      ws["dec1"])
     d2 = relu(pre5)
     p2 = sigmoid(conv1x1(d2, params["head2_w"], params["head2_b"]))
     x3 = up2(np.concatenate([d2, p2[None]], axis=0))
-    pre6, c6 = conv2d(x3, params["dec2_w"], params["dec2_b"], 1, pm)
+    pre6, c6 = conv2d(x3, params["dec2_w"], params["dec2_b"], 1, pm,
+                      ws["dec2"])
     d3 = relu(pre6)
     p3 = sigmoid(conv1x1(d3, params["head3_w"], params["head3_b"]))
     cache = dict(cfg=cfg, convs=(c0, c1, c2, c3, c4, c5, c6),
@@ -304,13 +361,14 @@ def backward(cache, dps) -> dict:
     df1b, grads["enc2_w"], grads["enc2_b"] = conv2d_backward(de2 * (pre2 > 0), c2)
     df1 = df1 + df1b
     de0, grads["enc1_w"], grads["enc1_b"] = conv2d_backward(df1 * (pre1 > 0), c1)
-    _, grads["enc0_w"], grads["enc0_b"] = conv2d_backward(de0 * (pre0 > 0), c0)
+    _, grads["enc0_w"], grads["enc0_b"] = conv2d_backward(de0 * (pre0 > 0), c0,
+                                                          input_grad=False)
     return grads
 
 
-def forward_with_params(img, params, cfg):
+def forward_with_params(img, params, cfg, workspace=None):
     """forward() variant that stores params in the cache for backward()."""
-    p1, p2, p3, cache = forward(img, params, cfg)
+    p1, p2, p3, cache = forward(img, params, cfg, workspace)
     cache["params"] = params
     return p1, p2, p3, cache
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
@@ -18,7 +18,7 @@ from .imgcore import BG, FG, IGNORE, affine_compose, affine_rotation, \
     affine_scaling, affine_translation, apply_affine
 from .losses import LossConfig, bce_loss, iou_loss, rls_loss, seg_loss
 from .model import ArchConfig, adam_init, adam_step, backward, \
-    forward_with_params, init_params
+    forward_with_params, init_params, new_workspace
 from .recist import DegenerateAnnotationError, constrained_region, \
     fit_ellipse, rasterize_ellipse, transform_annotation
 from .synthgen import Sample
@@ -45,6 +45,8 @@ class TrainConfig:
             raise ValueError("need 0 < stage2_start <= epochs")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
+        if len(self.long_side) != 2:
+            raise ValueError("long_side must be a pair [lo, hi]")
         if self.long_side[0] > self.long_side[1]:
             raise ValueError("long-side range must satisfy lo <= hi")
         if self.rls_region not in ("constrained", "whole_image", "off"):
@@ -52,25 +54,54 @@ class TrainConfig:
 
 
 def train_config_from_json(text: str) -> TrainConfig:
-    raw = json.loads(text)
+    """Parse a training config. Every key is optional and defaults as in
+    TrainConfig; a key the config classes lack, or a value of the wrong
+    type, raises ValueError naming the key."""
+    return _config_from_raw(TrainConfig, json.loads(text), "")
+
+
+def _config_from_raw(cls, raw, where: str):
+    if not isinstance(raw, dict):
+        what = f"config key {where!r}" if where else "config"
+        raise ValueError(f"{what} must be a JSON object, got "
+                         f"{type(raw).__name__}")
+    defaults = {f.name: f.default for f in fields(cls)}
     kwargs = {}
-    for key in ("epochs", "lr", "stage2_start", "rls_weight", "rounds",
-                "seed", "batch", "augment", "rls_region"):
-        if key in raw:
-            kwargs[key] = raw[key]
-    if "decay_epochs" in raw:
-        kwargs["decay_epochs"] = tuple(raw["decay_epochs"])
-    if "long_side" in raw:
-        kwargs["long_side"] = tuple(raw["long_side"])
-    if "arch" in raw:
-        kwargs["arch"] = ArchConfig(**raw["arch"])
-    if "loss" in raw:
-        a = raw["loss"]
-        kwargs["loss"] = LossConfig(
-            lambda1=a.get("lambda1", 1.0), lambda2=a.get("lambda2", 3.0),
-            rls_weight=a.get("rls_weight", 0.1),
-            clamp_eps=a.get("clamp_eps", 1e-7))
-    return TrainConfig(**kwargs)
+    for key, value in raw.items():
+        name = f"{where}.{key}" if where else key
+        if key not in defaults:
+            raise ValueError(f"unknown config key {name!r}")
+        default = defaults[key]
+        if is_dataclass(default):
+            kwargs[key] = _config_from_raw(type(default), value, name)
+        else:
+            kwargs[key] = _config_value(name, value, default)
+    return cls(**kwargs)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _config_value(name: str, value, default):
+    """value, checked against the type of the field's default; a JSON list
+    becomes a tuple of ints."""
+    if isinstance(default, bool):
+        ok = isinstance(value, bool)
+    elif isinstance(default, int):
+        ok = _is_int(value)
+    elif isinstance(default, float):
+        ok = _is_int(value) or isinstance(value, float)
+    elif isinstance(default, tuple):
+        ok = isinstance(value, list) and all(map(_is_int, value))
+        value = tuple(value) if ok else value
+    else:
+        ok = isinstance(value, type(default))
+    if not ok:
+        raise ValueError(f"config key {name!r} has the wrong type: "
+                         f"{json.dumps(value)} (default "
+                         f"{json.dumps(default)})")
+    return value
 
 
 @dataclass
@@ -227,8 +258,10 @@ def _scale_mask_about_centroid(mask: np.ndarray, ratio: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # training
 
-def _sample_losses(sample: Sample, params, cfg: TrainConfig, with_rls: bool):
-    p1, p2, p3, cache = forward_with_params(sample.image, params, cfg.arch)
+def _sample_losses(sample: Sample, params, cfg: TrainConfig, with_rls: bool,
+                   workspace: dict):
+    p1, p2, p3, cache = forward_with_params(sample.image, params, cfg.arch,
+                                            workspace)
     dims = [p.shape for p in (p1, p2, p3)]
     g1, g2, g3 = make_pseudo_masks(sample.pseudo, dims)
     seg_val, seg_grads = seg_loss((p1, p2, p3), (g1, g2, g3),
@@ -263,12 +296,14 @@ def train_stage(dataset, params, cfg: TrainConfig, stage: str,
         history = TrainHistory()
     with_rls = stage == "seg_plus_rls"
     n_epochs = cfg.epochs if epochs is None else epochs
+    workspace = new_workspace()
     for ep in range(n_epochs):
         epoch = lr_epoch_offset + ep
         lr = cfg.lr * (0.1 ** sum(epoch >= d for d in cfg.decay_epochs))
         order = rng.permutation(len(dataset))
         seg_sum = 0.0
         rls_sum = 0.0
+        steps = 0
         for idx in order:
             sample = dataset[idx]
             if cfg.augment:
@@ -276,7 +311,7 @@ def train_stage(dataset, params, cfg: TrainConfig, stage: str,
                 if skipped:
                     continue
             seg_val, rls_val, grads = _sample_losses(sample, params, cfg,
-                                                     with_rls)
+                                                     with_rls, workspace)
             total = seg_val + cfg.rls_weight * rls_val
             if not np.isfinite(total):
                 raise FloatingPointError(
@@ -284,10 +319,13 @@ def train_stage(dataset, params, cfg: TrainConfig, stage: str,
             params, state = adam_step(params, grads, state, lr)
             seg_sum += seg_val
             rls_sum += rls_val
+            steps += 1
+        # an epoch whose samples were all skipped logs zero means
+        steps = max(steps, 1)
         history.records.append(EpochRecord(
             epoch=epoch, stage=stage, lr=lr,
-            mean_seg_loss=seg_sum / len(dataset),
-            mean_rls_loss=rls_sum / len(dataset)))
+            mean_seg_loss=seg_sum / steps,
+            mean_rls_loss=rls_sum / steps))
     return params, state, history
 
 
@@ -326,8 +364,7 @@ def train_rounds(dataset, cfg: TrainConfig, on_round=None):
     histories = []
     params = None
     for rnd in range(cfg.rounds):
-        round_cfg = replace(cfg, seed=cfg.seed)  # same init each round
-        params, history = train_schedule(dataset, round_cfg)
+        params, history = train_schedule(dataset, cfg)  # same init each round
         histories.append(history)
         if on_round is not None:
             on_round(rnd, params)

@@ -5,6 +5,7 @@ import pytest
 
 from weakseg.cli import cli_main, load_dataset, write_dataset
 from weakseg.imgcore import decode_pgm, encode_pgm
+from weakseg.model import ArchConfig, init_params, save_model
 from weakseg.synthgen import SynthConfig, gen_dataset
 
 
@@ -157,3 +158,29 @@ class TestGradcheckAndUsage:
         assert run("segment-cv", "--image", str(tmp_path / "absent.pgm"),
                    "--init", str(tmp_path / "absent.pgm"),
                    "--out", str(tmp_path / "m.pgm")) == 2
+
+    @pytest.mark.parametrize("text, named", [
+        ('{"arch": {"chanels": 4}}', "'arch.chanels'"),
+        ('{"epochs_typo": 3}', "'epochs_typo'"),
+        ('{"epochs": "8"}', "'epochs'"),
+        ("[1, 2]", "must be a JSON object"),
+        ('{"arch": 4}', "'arch' must be a JSON object"),
+    ])
+    def test_bad_config_is_usage_error(self, dataset_dir, tmp_path, capsys,
+                                       text, named):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(text)
+        assert run("train", "--data", str(dataset_dir), "--config",
+                   str(cfg_file), "--out", str(tmp_path / "m")) == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
+    def test_bad_thread_count_is_usage_error(self, dataset_dir, tmp_path,
+                                             monkeypatch, capsys, value):
+        arch = ArchConfig(channels=2)
+        save_model(tmp_path / "m.bin", init_params(0, arch), arch)
+        monkeypatch.setenv("WEAKSEG_THREADS", value)
+        assert run("eval", "--data", str(dataset_dir), "--model",
+                   str(tmp_path / "m.bin"), "--out", str(tmp_path / "e")) == 1
+        assert "WEAKSEG_THREADS" in capsys.readouterr().err

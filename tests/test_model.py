@@ -4,9 +4,10 @@ import pytest
 from weakseg.cli import model_gradcheck
 from weakseg.losses import finite_diff_check
 from weakseg.model import (AdamState, ArchConfig, adam_init, adam_step,
-                           backward, forward, forward_with_params, init_params,
-                           load_model, save_model, scale_attention_backward,
-                           scale_attention_fuse)
+                           backward, conv2d, conv2d_backward, forward,
+                           forward_with_params, init_params, load_model,
+                           new_workspace, save_model,
+                           scale_attention_backward, scale_attention_fuse)
 
 
 class TestInit:
@@ -151,6 +152,31 @@ class TestBackward:
         g1 = backward(cache, dps)
         g2 = backward(cache, tuple(2.0 * d for d in dps))
         assert all(np.allclose(2.0 * g1[k], g2[k], atol=1e-12) for k in g1)
+
+    def test_workspace_backward_repeats(self):
+        # backward re-zeroes the workspace's dxp buffers, so a second call on
+        # one workspace-backed cache gives the same grads
+        cfg = ArchConfig(channels=4, pad_mode="wrap")
+        params = init_params(9, cfg)
+        rng = np.random.default_rng(9)
+        p1, p2, p3, cache = forward_with_params(rng.uniform(0, 1, (16, 16)),
+                                                params, cfg, new_workspace())
+        dps = tuple(rng.normal(size=p.shape) for p in (p1, p2, p3))
+        g1 = backward(cache, dps)
+        g2 = backward(cache, dps)
+        assert all(np.array_equal(g1[k], g2[k]) for k in g1)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_skipped_input_grad_keeps_weight_grads(self, stride):
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(1, 16, 16))
+        w = rng.normal(size=(4, 1, 3, 3))
+        out, cache = conv2d(x, w, rng.normal(size=4), stride)
+        dout = rng.normal(size=out.shape)
+        dx, dw, db = conv2d_backward(dout, cache)
+        skipped, dw0, db0 = conv2d_backward(dout, cache, input_grad=False)
+        assert dx.shape == x.shape and skipped is None
+        assert np.array_equal(dw, dw0) and np.array_equal(db, db0)
 
     def test_whole_model_gradcheck(self):
         assert model_gradcheck(0) < 1e-3

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from weakseg import weaktrain
 from weakseg.imgcore import BG, FG, IGNORE
-from weakseg.model import ArchConfig, forward, init_params
+from weakseg.losses import rls_loss, seg_loss
+from weakseg.model import ArchConfig, adam_init, adam_step, backward, \
+    forward, forward_with_params, init_params
 from weakseg.synthgen import SynthConfig, gen_dataset
 from weakseg.weaktrain import (TrainConfig, augment, make_pseudo_masks,
                                predict, train_config_from_json, train_rounds,
@@ -240,6 +243,65 @@ class TestTraining:
         # zero-weight stage 2 must follow the identical trajectory as
         # seg-only training (gradient contribution is exactly additive)
         assert all(np.allclose(pa[k], pb[k], atol=1e-12) for k in pa)
+
+    @pytest.mark.parametrize("pad_mode", ["zero", "wrap"])
+    @pytest.mark.parametrize("sa_enabled", [True, False])
+    def test_workspace_matches_fresh_buffers(self, pad_mode, sa_enabled):
+        # train_stage reuses one conv workspace across steps; a loop over the
+        # model API with fresh buffers must give byte-equal parameters.
+        # Augmentation varies the input sides, so the buffers grow and shrink.
+        ds = tiny_dataset(n=3)
+        cfg = tiny_config(augment=True, long_side=(24, 40), lr=0.01,
+                          arch=ArchConfig(channels=3, sa_enabled=sa_enabled,
+                                          pad_mode=pad_mode))
+        params, _, _ = train_stage(ds, init_params(0, cfg.arch), cfg,
+                                   "seg_plus_rls", epochs=2)
+
+        ref = init_params(0, cfg.arch)
+        state = adam_init(ref)
+        rng = np.random.default_rng(cfg.seed)
+        for _ in range(2):
+            for idx in rng.permutation(len(ds)):
+                s, skipped = augment(ds[idx], rng, cfg.long_side)
+                if skipped:
+                    continue
+                p1, p2, p3, cache = forward_with_params(s.image, ref,
+                                                        cfg.arch)
+                masks = make_pseudo_masks(s.pseudo,
+                                          [p.shape for p in (p1, p2, p3)])
+                _, dps = seg_loss((p1, p2, p3), masks, cfg.loss.clamp_eps)
+                r = rls_loss(p3, s.image, s.region, cfg.loss)
+                dps[2] = dps[2] + cfg.rls_weight * r.grad
+                ref, state = adam_step(ref, backward(cache, dps), state,
+                                       cfg.lr)
+        assert all(np.array_equal(params[k], ref[k]) for k in ref)
+
+    def test_epoch_means_count_steps_taken(self, monkeypatch):
+        # a skipped augmentation takes no step, so it must not dilute the
+        # logged means
+        ds = tiny_dataset(n=3)
+        real_augment, real_losses = weaktrain.augment, weaktrain._sample_losses
+        seen = []
+
+        def skip_first(sample, rng, long_side):
+            if sample.sample_id == ds[0].sample_id:
+                return sample, True
+            return real_augment(sample, rng, long_side)
+
+        def recording(*args):
+            out = real_losses(*args)
+            seen.append(out[:2])
+            return out
+
+        monkeypatch.setattr(weaktrain, "augment", skip_first)
+        monkeypatch.setattr(weaktrain, "_sample_losses", recording)
+        cfg = tiny_config(augment=True, long_side=(24, 40))
+        _, _, history = train_stage(ds, init_params(0, cfg.arch), cfg,
+                                    "seg_plus_rls", epochs=1)
+        assert 0 < len(seen) < len(ds)
+        rec = history.records[0]
+        assert rec.mean_seg_loss == sum(v for v, _ in seen) / len(seen)
+        assert rec.mean_rls_loss == sum(v for _, v in seen) / len(seen)
 
     def test_empty_dataset(self):
         with pytest.raises(ValueError):
