@@ -158,19 +158,55 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _read_ellipse(path) -> recist.Ellipse:
+    """Parse an --ellipse spec: a JSON object with a numeric pair "center",
+    numbers "a" and "b" and an optional number "theta"."""
+    try:
+        spec = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(spec, dict):
+        raise DataError(f"{path}: ellipse spec must be a JSON object")
+    unknown = sorted(spec.keys() - {"center", "a", "b", "theta"})
+    if unknown:
+        raise DataError(f"{path}: unknown key {unknown[0]!r}")
+
+    def number(x):
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+    center = spec.get("center")
+    if not (isinstance(center, list) and len(center) == 2
+            and all(map(number, center))):
+        raise DataError(f"{path}: 'center' must be a pair of numbers")
+    spec.setdefault("theta", 0.0)
+    for key in ("a", "b", "theta"):
+        if not number(spec.get(key)):
+            raise DataError(f"{path}: {key!r} must be a number")
+    try:
+        return recist.Ellipse(center=tuple(center), a=spec["a"], b=spec["b"],
+                              theta=spec["theta"])
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 def cmd_segment_cv(args) -> int:
+    # CvConfig's messages start with the field name, which is also the flag's
+    try:
+        cfg = CvConfig(mu=args.mu, nu=args.nu, iters=args.iters)
+    except ValueError as exc:
+        raise UsageError(f"--{exc}") from None
     img = decode_pgm(Path(args.image).read_bytes())
-    dims = (img.shape[1], img.shape[0])
     if args.init:
         init = decode_pgm(Path(args.init).read_bytes()) >= 0.5
+        if init.shape != img.shape:
+            raise DataError(
+                f"--init {args.init} is {init.shape[1]}x{init.shape[0]} but "
+                f"--image {args.image} is {img.shape[1]}x{img.shape[0]}")
     elif args.ellipse:
-        spec = json.loads(Path(args.ellipse).read_text())
-        e = recist.Ellipse(center=tuple(spec["center"]), a=spec["a"],
-                           b=spec["b"], theta=spec.get("theta", 0.0))
-        init = recist.rasterize_ellipse(e, dims)
+        init = recist.rasterize_ellipse(_read_ellipse(args.ellipse),
+                                        (img.shape[1], img.shape[0]))
     else:
         raise DataError("segment-cv needs --init or --ellipse")
-    cfg = CvConfig(mu=args.mu, nu=args.nu, iters=args.iters)
     mask, trace, warning = cv_evolve(img, init, cfg)
     Path(args.out).write_bytes(encode_pgm(mask.astype(np.float64)))
     if args.trace:

@@ -5,9 +5,10 @@ discretized energy
                             + l2 * sum (v - c2)^2 (1 - H(phi))
 
 with a smoothed (arctan) Heaviside. The length term uses central differences
-of H(phi) with periodic wrap, so the descent direction below is the exact
-gradient of the energy actually reported; a backtracking step keeps the
-energy trace non-increasing.
+of H(phi) with periodic wrap. ``cv_energy`` returns the energy and, on
+request, its exact gradient from one pass over reusable scratch arrays; the
+solver evaluates each backtracking line-search candidate once, with its
+gradient, and the energy trace is non-increasing.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from scipy.ndimage import distance_transform_edt
 from .losses import DegenerateRegionError
 
 _LEN_ETA = 1e-12  # smoothing inside the gradient-magnitude square root
+_N_WORK = 6  # scratch arrays of the image's shape per energy evaluation
 
 
 @dataclass(frozen=True)
@@ -36,86 +38,82 @@ class CvConfig:
     tol: float = 1e-4
 
     def __post_init__(self):
-        if self.mu < 0 or self.nu < 0:
-            raise ValueError("mu and nu must be non-negative")
+        for name, value in (("mu", self.mu), ("nu", self.nu)):
+            if not value >= 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
         if self.lambda1 <= 0 or self.lambda2 <= 0:
             raise ValueError("lambda1 and lambda2 must be positive")
         if self.eps <= 0:
             raise ValueError("heaviside eps must be positive")
         if self.iters < 1:
-            raise ValueError("iters must be >= 1")
+            raise ValueError(f"iters must be >= 1, got {self.iters}")
 
 
-def smooth_heaviside(z, eps: float = 1.0):
+def smooth_heaviside(z, eps: float = 1.0, out=None):
     """Smoothed step H_eps(z) = 0.5 * (1 + (2/pi) * atan(z / eps))."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    return 0.5 * (1.0 + (2.0 / np.pi) * np.arctan(np.asarray(z, dtype=np.float64) / eps))
+    t = np.divide(np.asarray(z, dtype=np.float64), eps, out=out)
+    t = np.multiply(2.0 / np.pi, np.arctan(t, out=out), out=out)
+    return np.multiply(0.5, np.add(1.0, t, out=out), out=out)
 
 
-def smooth_delta(z, eps: float = 1.0):
+def smooth_delta(z, eps: float = 1.0, out=None):
     """Derivative of smooth_heaviside: (1/pi) * eps / (eps^2 + z^2)."""
     z = np.asarray(z, dtype=np.float64)
-    return (eps / np.pi) / (eps * eps + z * z)
+    t = np.add(eps * eps, np.multiply(z, z, out=out), out=out)
+    return np.divide(eps / np.pi, t, out=out)
 
 
-def _weighted_means(img: np.ndarray, h: np.ndarray):
-    w1 = float(h.sum())
-    w2 = float((1.0 - h).sum())
-    if w1 <= 1e-12 or w2 <= 1e-12:
-        raise DegenerateRegionError(
-            f"level set has no mass on one side (inside {w1:.3g}, outside {w2:.3g})")
-    c1 = float((img * h).sum()) / w1
-    c2 = float((img * (1.0 - h)).sum()) / w2
-    return c1, c2
+def _central_diff(out, a, tmp, axis, sign):
+    """out = sign * (roll(a, -1) - roll(a, 1)) / 2 along axis, by slicing."""
+    a = np.moveaxis(a, axis, 0)
+    for dst, k in ((out, -sign), (tmp, sign)):
+        dst = np.moveaxis(dst, axis, 0)
+        dst[k:], dst[:k] = a[:-k], a[-k:]
+    return np.divide(np.subtract(out, tmp, out=out), 2.0, out=out)
 
 
-def _length_and_grad_h(h: np.ndarray):
-    """Total variation of h via central differences (periodic wrap) and its
-    exact gradient with respect to h."""
-    gx = (np.roll(h, -1, axis=1) - np.roll(h, 1, axis=1)) / 2.0
-    gy = (np.roll(h, -1, axis=0) - np.roll(h, 1, axis=0)) / 2.0
-    n = np.sqrt(gx * gx + gy * gy + _LEN_ETA)
-    length = float(n.sum())
-    gxn = gx / n
-    gyn = gy / n
-    grad = (np.roll(gxn, 1, axis=1) - np.roll(gxn, -1, axis=1)) / 2.0 \
-        + (np.roll(gyn, 1, axis=0) - np.roll(gyn, -1, axis=0)) / 2.0
-    return length, grad
-
-
-def cv_energy(phi: np.ndarray, img: np.ndarray, cfg: CvConfig) -> float:
-    """Evaluate the Chan-Vese energy of a level set field."""
+def cv_energy(phi, img, cfg: CvConfig, grad=None, work=None) -> float:
+    """Evaluate the Chan-Vese energy of a level set field. When ``grad`` (an
+    array of phi's shape) is given, dE/dphi is written into it. ``work`` is an
+    optional (_N_WORK, *img.shape) float64 scratch array for every
+    intermediate; without it a fresh one is allocated."""
     phi = np.asarray(phi, dtype=np.float64)
     v = np.asarray(img, dtype=np.float64)
     if phi.shape != v.shape:
         raise ValueError("level set and image shapes must match")
-    h = smooth_heaviside(phi, cfg.eps)
-    c1, c2 = _weighted_means(v, h)
-    energy = float((cfg.lambda1 * (v - c1) ** 2 * h
-                    + cfg.lambda2 * (v - c2) ** 2 * (1.0 - h)).sum())
-    if cfg.nu != 0.0:
-        energy += cfg.nu * float(h.sum())
+    h, g, r1, r2, t1, t2 = np.empty((_N_WORK,) + v.shape) if work is None else work
+    smooth_heaviside(phi, cfg.eps, out=h)
+    np.subtract(1.0, h, out=g)
+    w1, w2 = float(h.sum()), float(g.sum())
+    if w1 <= 1e-12 or w2 <= 1e-12:
+        raise DegenerateRegionError(
+            f"level set has no mass on one side (inside {w1:.3g}, outside {w2:.3g})")
+    c1 = float(np.multiply(v, h, out=t1).sum()) / w1
+    c2 = float(np.multiply(v, g, out=t1).sum()) / w2
+    # lambda * (v - c)^2, each computed once for the energy and the gradient
+    np.multiply(cfg.lambda1, np.square(np.subtract(v, c1, out=r1), out=r1), out=r1)
+    np.multiply(cfg.lambda2, np.square(np.subtract(v, c2, out=r2), out=r2), out=r2)
+    np.add(np.multiply(r1, h, out=t1), np.multiply(r2, g, out=t2), out=t1)
+    energy = float(t1.sum())
+    if grad is not None:
+        np.add(np.subtract(r1, r2, out=grad), cfg.nu, out=grad)
+    energy += cfg.nu * w1
     if cfg.mu != 0.0:
-        length, _ = _length_and_grad_h(h)
-        energy += cfg.mu * length
+        gx = _central_diff(t1, h, t2, 1, 1)
+        gy = _central_diff(r2, h, t2, 0, 1)
+        n = np.add(np.multiply(gx, gx, out=r1), np.multiply(gy, gy, out=t2), out=r1)
+        np.sqrt(np.add(n, _LEN_ETA, out=n), out=n)
+        energy += cfg.mu * float(n.sum())
+        if grad is not None:
+            # length gradient with respect to h, into g
+            _central_diff(g, np.divide(gx, n, out=gx), t2, 1, -1)
+            np.add(g, _central_diff(h, np.divide(gy, n, out=gy), t2, 0, -1), out=g)
+            np.add(grad, np.multiply(cfg.mu, g, out=g), out=grad)
+    if grad is not None:
+        np.multiply(grad, smooth_delta(phi, cfg.eps, out=t1), out=grad)
     return energy
-
-
-def _energy_and_grad(phi, v, cfg):
-    h = smooth_heaviside(phi, cfg.eps)
-    c1, c2 = _weighted_means(v, h)
-    fit = cfg.lambda1 * (v - c1) ** 2 - cfg.lambda2 * (v - c2) ** 2
-    energy = float((cfg.lambda1 * (v - c1) ** 2 * h
-                    + cfg.lambda2 * (v - c2) ** 2 * (1.0 - h)).sum())
-    grad_h = fit + cfg.nu
-    if cfg.nu != 0.0:
-        energy += cfg.nu * float(h.sum())
-    if cfg.mu != 0.0:
-        length, glen = _length_and_grad_h(h)
-        energy += cfg.mu * length
-        grad_h = grad_h + cfg.mu * glen
-    return energy, grad_h * smooth_delta(phi, cfg.eps)
 
 
 def cv_evolve(img: np.ndarray, init: np.ndarray, cfg: CvConfig = CvConfig()):
@@ -135,25 +133,26 @@ def cv_evolve(img: np.ndarray, init: np.ndarray, cfg: CvConfig = CvConfig()):
     # the region means separate immediately (a +-1 init leaves them nearly
     # equal under the smoothed Heaviside and the descent stalls)
     phi = distance_transform_edt(m) - distance_transform_edt(~m)
-    warning = False
-    trace = []
+    cand, grad, g_new = (np.empty_like(phi) for _ in range(3))
+    work = np.empty((_N_WORK,) + v.shape)
+    warning, trace = False, []
     try:
-        energy, grad = _energy_and_grad(phi, v, cfg)
+        energy = cv_energy(phi, v, cfg, grad, work)
         trace.append(energy)
         for _ in range(cfg.iters):
             # backtracking keeps the trace monotone even for stiff steps
             step = cfg.step
             for _ in range(30):
-                cand = phi - step * grad
-                e_new = cv_energy(cand, v, cfg)
+                np.subtract(phi, np.multiply(step, grad, out=cand), out=cand)
+                e_new = cv_energy(cand, v, cfg, g_new, work)
                 if e_new <= energy + 1e-12:
                     break
                 step *= 0.5
             else:
                 break  # no descent possible at any tried step
-            delta = float(np.abs(cand - phi).mean())
-            phi = cand
-            energy, grad = _energy_and_grad(phi, v, cfg)
+            diff = np.abs(np.subtract(cand, phi, out=work[0]), out=work[0])
+            delta = float(diff.mean())
+            phi, cand, grad, g_new, energy = cand, phi, g_new, grad, e_new
             trace.append(energy)
             if delta < cfg.tol:
                 break

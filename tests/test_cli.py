@@ -125,6 +125,49 @@ class TestSegmentCv:
         assert run("segment-cv", "--image", str(img_file),
                    "--out", str(tmp_path / "m.pgm")) == 2
 
+    @pytest.mark.parametrize("text, named", [
+        ('{"a": 3, "b": 2}', "'center'"),
+        ('[4, 4, 3, 2]', "JSON object"),
+        ('{"center": [4, 4], "a": "x", "b": 2}', "'a'"),
+        ('{"center": [4, 4], "a": 3}', "'b'"),
+        ('{"center": [4, 4], "a": 3, "b": 2, "theta": null}', "'theta'"),
+        ('{"center": [4], "a": 3, "b": 2}', "'center'"),
+        ('{"center": [4, 4], "a": 3, "b": 2, "tehta": 1}', "'tehta'"),
+        ('{"center": [4, 4], "a": 2, "b": 3}', "a >= b"),
+        ('{"center": [4, 4', "not valid JSON"),
+    ])
+    def test_bad_ellipse_is_data_error(self, tmp_path, capsys, text, named):
+        img_file = tmp_path / "img.pgm"
+        img_file.write_bytes(encode_pgm(np.full((8, 8), 0.5)))
+        spec = tmp_path / "ellipse.json"
+        spec.write_text(text)
+        assert run("segment-cv", "--image", str(img_file), "--ellipse",
+                   str(spec), "--out", str(tmp_path / "m.pgm")) == 2
+        err = capsys.readouterr().err
+        assert str(spec) in err and named in err
+        assert not (tmp_path / "m.pgm").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--iters", "0"), ("--mu", "-0.5"), ("--nu", "-1"), ("--mu", "nan")])
+    def test_bad_solver_flag_is_usage_error(self, tmp_path, capsys, flag,
+                                            value):
+        img_file = tmp_path / "img.pgm"
+        img_file.write_bytes(encode_pgm(np.full((8, 8), 0.5)))
+        assert run("segment-cv", "--image", str(img_file), "--init",
+                   str(img_file), "--out", str(tmp_path / "m.pgm"),
+                   flag, value) == 1
+        assert flag in capsys.readouterr().err
+
+    def test_init_shape_mismatch_names_both_files(self, tmp_path, capsys):
+        img_file = tmp_path / "img.pgm"
+        img_file.write_bytes(encode_pgm(np.full((8, 8), 0.5)))
+        init_file = tmp_path / "init.pgm"
+        init_file.write_bytes(encode_pgm(np.ones((8, 12))))
+        assert run("segment-cv", "--image", str(img_file), "--init",
+                   str(init_file), "--out", str(tmp_path / "m.pgm")) == 2
+        err = capsys.readouterr().err
+        assert str(img_file) in err and str(init_file) in err
+
 
 class TestFitEllipse:
     def test_roundtrip(self, dataset_dir, tmp_path):
