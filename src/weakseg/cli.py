@@ -16,12 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import losses, metrics, model, recist, synthgen, weaktrain
-from .imgcore import BG, FG, decode_pgm, encode_pgm
+from . import losses, metrics, recist, weaktrain
+from .imgcore import decode_pgm, encode_pgm
 from .levelset import CvConfig, cv_evolve
 from .losses import LossConfig, bce_loss, finite_diff_check, iou_loss, rls_loss
-from .model import ArchConfig, forward_with_params, backward, init_params, \
-    load_model, save_model
+from .model import ArchConfig, forward, backward, init_params, load_model, \
+    save_model
 from .synthgen import Sample, SynthConfig, gen_dataset
 
 
@@ -68,21 +68,30 @@ def load_dataset(path: Path):
         if not img_file.exists():
             raise DataError(f"missing {img_file}")
         img = decode_pgm(img_file.read_bytes())
-        e = recist.fit_ellipse(ann)
-        dims = (img.shape[1], img.shape[0])
-        emask = recist.rasterize_ellipse(e, dims)
-        pseudo = np.where(emask, FG, BG).astype(np.int8)
-        region = recist.constrained_region(e, dims)
         gt = None
         gt_file = path / "gt" / f"{sid}.pgm"
         if gt_file.exists():
             gt = decode_pgm(gt_file.read_bytes()) >= 0.5
-        samples.append(Sample(image=img, annotation=ann, ellipse=e,
-                              pseudo=pseudo, region=region, gt_mask=gt,
-                              sample_id=sid))
+        try:
+            samples.append(Sample.from_annotation(img, ann, gt, sid))
+        except ValueError as exc:
+            # the gt shape: read_annotation_csv already rejects degenerate
+            # annotations
+            raise DataError(f"{gt_file}: {exc}") from None
     if not samples:
         raise DataError(f"no samples found in {path}")
     return samples
+
+
+def _check_model_sides(dataset, path: Path) -> None:
+    """The segmenter halves each side twice, so train and eval --model need
+    sides that are multiples of 4; fail before any work, naming the file."""
+    for s in dataset:
+        h, w = s.image.shape
+        if h % 4 or w % 4:
+            img_file = path / "images" / f"{s.sample_id}.pgm"
+            raise DataError(f"{img_file}: the model needs sides that are "
+                            f"multiples of 4, got {w}x{h}")
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +118,7 @@ def cmd_train(args) -> int:
     if args.rls_region:
         cfg = replace(cfg, rls_region=args.rls_region.replace("-", "_"))
     dataset = load_dataset(Path(args.data))
+    _check_model_sides(dataset, Path(args.data))
     params, histories = weaktrain.train_rounds(dataset, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -129,6 +139,7 @@ def cmd_eval(args) -> int:
                 raise DataError(f"missing prediction {f}")
             preds[s.sample_id] = decode_pgm(f.read_bytes()) >= 0.5
     elif args.model:
+        _check_model_sides(dataset, Path(args.data))
         params, arch = load_model(args.model)
 
         def infer(s):
@@ -297,6 +308,7 @@ def model_gradcheck(seed: int, size: int = 8, channels: int = 4) -> float:
     for s in (4, 2, 1):
         masks.append(rng.integers(0, 2, (size // s, size // s)).astype(np.int8))
     cfg = LossConfig()
+    weight = weaktrain.TrainConfig().rls_weight
 
     names = sorted(params)
     sizes = [params[n].size for n in names]
@@ -311,13 +323,13 @@ def model_gradcheck(seed: int, size: int = 8, channels: int = 4) -> float:
 
     def fn(vec):
         ps = unpack(vec)
-        p1, p2, p3, cache = forward_with_params(img, ps, arch)
+        p1, p2, p3, cache = forward(img, ps, arch)
         seg_val, seg_grads = losses.seg_loss((p1, p2, p3), masks)
         r = rls_loss(p3, img, region, cfg)
-        seg_grads[2] = seg_grads[2] + cfg.rls_weight * r.grad
+        seg_grads[2] = seg_grads[2] + weight * r.grad
         grads = backward(cache, seg_grads)
         gvec = np.concatenate([grads[n].reshape(-1) for n in names])
-        return seg_val + cfg.rls_weight * r.value, gvec
+        return seg_val + weight * r.value, gvec
 
     vec0 = np.concatenate([params[n].reshape(-1) for n in names])
     return finite_diff_check(fn, vec0)

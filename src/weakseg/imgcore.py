@@ -31,26 +31,6 @@ def validate_gray(img: np.ndarray) -> np.ndarray:
     return a
 
 
-def validate_mask(mask: np.ndarray, shape=None) -> np.ndarray:
-    m = np.asarray(mask)
-    if m.dtype != np.bool_:
-        raise ValueError("binary mask must have bool dtype")
-    if shape is not None and m.shape != tuple(shape):
-        raise ValueError(f"mask shape {m.shape} does not match {tuple(shape)}")
-    return m
-
-
-def validate_trimask(mask: np.ndarray, shape=None) -> np.ndarray:
-    m = np.asarray(mask)
-    if not np.issubdtype(m.dtype, np.integer):
-        raise ValueError("tri-mask must have integer dtype")
-    if not np.all(np.isin(m, (BG, FG, IGNORE))):
-        raise ValueError("tri-mask labels must be BG, FG or IGNORE")
-    if shape is not None and m.shape != tuple(shape):
-        raise ValueError(f"mask shape {m.shape} does not match {tuple(shape)}")
-    return m.astype(np.int8)
-
-
 # ---------------------------------------------------------------------------
 # PGM codec (P2 plain / P5 binary, maxval <= 255)
 
@@ -178,13 +158,10 @@ def affine_apply_points(t: np.ndarray, pts: np.ndarray) -> np.ndarray:
 # Resampling
 
 def _bilinear_sample(img: np.ndarray, xs: np.ndarray, ys: np.ndarray,
-                     fill: float | None) -> np.ndarray:
-    """Sample img at continuous (x, y) points. Out-of-grid neighbors read
-    fill, or the clamped edge value when fill is None."""
+                     fill: float) -> np.ndarray:
+    """Sample img at continuous (x, y) points; out-of-grid neighbors read
+    fill."""
     h, w = img.shape
-    if fill is None:
-        xs = np.clip(xs, 0.5, w - 0.5)
-        ys = np.clip(ys, 0.5, h - 0.5)
     u = xs - 0.5
     v = ys - 0.5
     x0 = np.floor(u).astype(np.int64)
@@ -199,31 +176,9 @@ def _bilinear_sample(img: np.ndarray, xs: np.ndarray, ys: np.ndarray,
             wgt = (fx if dx else 1.0 - fx) * (fy if dy else 1.0 - fy)
             inside = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
             vals = np.where(inside, img[np.clip(yi, 0, h - 1),
-                                        np.clip(xi, 0, w - 1)],
-                            0.0 if fill is None else fill)
+                                        np.clip(xi, 0, w - 1)], fill)
             out += wgt * vals
     return out
-
-
-def resample(img: np.ndarray, target, method: str = "bilinear") -> np.ndarray:
-    """Resize to target (width, height) with center-aligned sampling."""
-    tw, th = int(target[0]), int(target[1])
-    if tw < 1 or th < 1:
-        raise ValueError(f"target dimensions must be >= 1, got {tw}x{th}")
-    a = np.asarray(img, dtype=np.float64)
-    h, w = a.shape
-    if (tw, th) == (w, h):
-        return a.copy()
-    xs = (np.arange(tw) + 0.5) * (w / tw)
-    ys = (np.arange(th) + 0.5) * (h / th)
-    if method == "nearest":
-        xi = np.minimum(np.floor(xs).astype(np.int64), w - 1)
-        yi = np.minimum(np.floor(ys).astype(np.int64), h - 1)
-        return a[np.ix_(yi, xi)]
-    if method == "bilinear":
-        gx, gy = np.meshgrid(xs, ys)
-        return _bilinear_sample(a, gx, gy, fill=None)
-    raise ValueError(f"unknown method {method!r}")
 
 
 def resample_labels(mask: np.ndarray, target) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imgcore import BG, FG, IGNORE
+from .imgcore import FG, IGNORE
 
 
 class DegenerateRegionError(ValueError):
@@ -23,7 +23,6 @@ class DegenerateRegionError(ValueError):
 class LossConfig:
     lambda1: float = 1.0
     lambda2: float = 3.0
-    rls_weight: float = 0.1
     clamp_eps: float = 1e-7
 
     def __post_init__(self):

@@ -5,7 +5,13 @@ manual forward/backward passes in numpy.
 Feature maps are (channels, height, width) float64 arrays. The encoder has
 two stride-2 stages (features at 1/2 and 1/4 resolution); the decoder emits
 probability heads at 1/4, 1/2 and full resolution, each upsampling stage
-taking the previous head's map as an extra input channel.
+taking the previous head's map as an extra input channel, so input sides must
+be multiples of 4.
+
+``forward`` returns the three maps and a cache holding everything
+``backward`` needs, the parameters included; ``backward`` turns loss
+gradients on the maps into gradients for every parameter. Training lends
+``forward`` one reusable ``ConvWorkspace`` per conv layer (``new_workspace``).
 """
 
 from __future__ import annotations
@@ -257,7 +263,8 @@ def scale_attention_backward(dout: np.ndarray, cache, params: dict):
 def forward(img: np.ndarray, params: dict, cfg: ArchConfig,
             workspace: dict | None = None):
     """Run the segmenter; returns (p1, p2, p3, cache) with maps at 1/4, 1/2
-    and full resolution.
+    and full resolution. The cache holds what backward() needs, params
+    included.
 
     ``workspace`` (from new_workspace) lends the convs reusable buffers; a
     cache made with one is valid only until the next forward with that same
@@ -301,7 +308,7 @@ def forward(img: np.ndarray, params: dict, cfg: ArchConfig,
                       ws["dec2"])
     d3 = relu(pre6)
     p3 = sigmoid(conv1x1(d3, params["head3_w"], params["head3_b"]))
-    cache = dict(cfg=cfg, convs=(c0, c1, c2, c3, c4, c5, c6),
+    cache = dict(cfg=cfg, params=params, convs=(c0, c1, c2, c3, c4, c5, c6),
                  pres=(pre0, pre1, pre2, pre3, pre4, pre5, pre6),
                  sa_cache=sa_cache, f1=f1, f2=f2,
                  d=(d1, d2, d3), p=(p1, p2, p3))
@@ -327,10 +334,7 @@ def backward(cache, dps) -> dict:
     for dp, p in ((dp1, p1), (dp2, p2), (dp3, p3)):
         if dp.shape != p.shape:
             raise ValueError(f"grad shape {dp.shape} != map shape {p.shape}")
-    params = cache.get("params")
-    if params is None:
-        raise ValueError("cache lacks parameters; call backward via Model or "
-                         "attach cache['params']")
+    params = cache["params"]
     grads = {}
 
     dd3 = _head_backward(dp3, p3, d3, "head3", params, grads)
@@ -364,13 +368,6 @@ def backward(cache, dps) -> dict:
     _, grads["enc0_w"], grads["enc0_b"] = conv2d_backward(de0 * (pre0 > 0), c0,
                                                           input_grad=False)
     return grads
-
-
-def forward_with_params(img, params, cfg, workspace=None):
-    """forward() variant that stores params in the cache for backward()."""
-    p1, p2, p3, cache = forward(img, params, cfg, workspace)
-    cache["params"] = params
-    return p1, p2, p3, cache
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,15 @@
-"""Synthetic lesion dataset generator.
+"""The training sample and the synthetic lesion dataset generator.
 
-Each sample is a star-convex blob with known ground truth, an automatically
-derived RECIST-style annotation (long diameter plus near-perpendicular short
-diameter), and the pseudo-mask / constrained-region pair built from it.
-Optional distractor blobs are placed strictly outside the constrained region.
+``Sample.from_annotation`` is the one place a sample is built from an image
+and its RECIST annotation: it fits the ellipse, rasterizes it into the FG/BG
+pseudo mask and computes the constrained region. The CLI's dataset loader and
+the generator both use it; only augmentation builds samples directly, because
+it carries an updated pseudo mask over instead of rebuilding it.
+
+Each synthetic sample is a star-convex blob with known ground truth and a
+RECIST-style annotation measured off it (long diameter plus near-perpendicular
+short diameter). Optional distractor blobs are placed strictly outside the
+constrained region.
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import recist
 from .imgcore import BG, FG
 from .recist import RecistAnnotation, Ellipse, fit_ellipse, rasterize_ellipse, \
     constrained_region
@@ -53,6 +58,26 @@ class Sample:
     gt_mask: np.ndarray | None = None
     sample_id: str = ""
     meta: dict = field(default_factory=dict)
+
+    @classmethod
+    def from_annotation(cls, image, annotation: RecistAnnotation,
+                        gt_mask=None, sample_id: str = "",
+                        meta: dict | None = None) -> Sample:
+        """Fit the annotation's ellipse and build the FG/BG pseudo mask and
+        the constrained region on the image's grid. A gt mask must have the
+        image's shape."""
+        h, w = image.shape
+        if gt_mask is not None:
+            gt_mask = np.asarray(gt_mask, dtype=bool)
+            if gt_mask.shape != (h, w):
+                raise ValueError(f"gt mask is {gt_mask.shape[1]}x"
+                                 f"{gt_mask.shape[0]} but the image is "
+                                 f"{w}x{h}")
+        e = fit_ellipse(annotation)
+        pseudo = np.where(rasterize_ellipse(e, (w, h)), FG, BG).astype(np.int8)
+        return cls(image=image, annotation=annotation, ellipse=e,
+                   pseudo=pseudo, region=constrained_region(e, (w, h)),
+                   gt_mask=gt_mask, sample_id=sample_id, meta=meta or {})
 
 
 def _star_mask(size: int, center, radius: float, irregularity: float,
@@ -121,19 +146,6 @@ def _component_count(m: np.ndarray) -> int:
     return n
 
 
-def build_sample_fields(image, gt_mask, sample_id="", meta=None) -> Sample:
-    """Derive annotation, ellipse, pseudo mask and constrained region."""
-    ann = derive_recist(gt_mask)
-    e = fit_ellipse(ann)
-    dims = (image.shape[1], image.shape[0])
-    emask = rasterize_ellipse(e, dims)
-    pseudo = np.where(emask, FG, BG).astype(np.int8)
-    region = constrained_region(e, dims)
-    return Sample(image=image, annotation=ann, ellipse=e, pseudo=pseudo,
-                  region=region, gt_mask=np.asarray(gt_mask, dtype=bool),
-                  sample_id=sample_id, meta=meta or {})
-
-
 def gen_lesion(cfg: SynthConfig, rng: np.random.Generator,
                sample_id: str = "") -> Sample:
     s = cfg.size
@@ -148,9 +160,10 @@ def gen_lesion(cfg: SynthConfig, rng: np.random.Generator,
         contrast = -contrast
     img = np.full((s, s), cfg.background)
     img[gt] += contrast
-    sample = build_sample_fields(img, gt, sample_id=sample_id,
-                                 meta={"radius": radius, "contrast": contrast,
-                                       "center": center})
+    sample = Sample.from_annotation(img, derive_recist(gt), gt, sample_id,
+                                    meta={"radius": radius,
+                                          "contrast": contrast,
+                                          "center": center})
     # distractors mimic lesion intensity but never touch I'
     placed = 0
     attempts = 0

@@ -1,6 +1,7 @@
 """Weakly-supervised training: three-scale pseudo masks, augmentation, the
 two-stage loss schedule (segmentation losses first, regional level set loss
-added later at weight 0.1), and the multi-round pseudo-mask update loop.
+added later at weight ``TrainConfig.rls_weight``), and the multi-round
+pseudo-mask update loop.
 """
 
 from __future__ import annotations
@@ -8,7 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
@@ -16,9 +17,9 @@ from scipy.ndimage import gaussian_filter
 from . import imgcore
 from .imgcore import BG, FG, IGNORE, affine_compose, affine_rotation, \
     affine_scaling, affine_translation, apply_affine
-from .losses import LossConfig, bce_loss, iou_loss, rls_loss, seg_loss
-from .model import ArchConfig, adam_init, adam_step, backward, \
-    forward_with_params, init_params, new_workspace
+from .losses import LossConfig, rls_loss, seg_loss
+from .model import ArchConfig, adam_init, adam_step, backward, forward, \
+    init_params, new_workspace
 from .recist import DegenerateAnnotationError, constrained_region, \
     fit_ellipse, rasterize_ellipse, transform_annotation
 from .synthgen import Sample
@@ -34,7 +35,6 @@ class TrainConfig:
     rounds: int = 3
     seed: int = 0
     long_side: tuple[int, int] = (32, 64)
-    batch: int = 1
     augment: bool = True
     rls_region: str = "constrained"  # "constrained" | "whole_image" | "off"
     arch: ArchConfig = ArchConfig()
@@ -260,8 +260,7 @@ def _scale_mask_about_centroid(mask: np.ndarray, ratio: float) -> np.ndarray:
 
 def _sample_losses(sample: Sample, params, cfg: TrainConfig, with_rls: bool,
                    workspace: dict):
-    p1, p2, p3, cache = forward_with_params(sample.image, params, cfg.arch,
-                                            workspace)
+    p1, p2, p3, cache = forward(sample.image, params, cfg.arch, workspace)
     dims = [p.shape for p in (p1, p2, p3)]
     g1, g2, g3 = make_pseudo_masks(sample.pseudo, dims)
     seg_val, seg_grads = seg_loss((p1, p2, p3), (g1, g2, g3),
@@ -351,7 +350,7 @@ def train_schedule(dataset, cfg: TrainConfig, params=None):
 
 def predict(sample: Sample, params, arch: ArchConfig) -> np.ndarray:
     """Full-resolution probability map for one sample."""
-    _, _, p3, _ = forward_with_params(sample.image, params, arch)
+    _, _, p3, _ = forward(sample.image, params, arch)
     return p3
 
 
@@ -379,13 +378,6 @@ def train_rounds(dataset, cfg: TrainConfig, on_round=None):
             if retain:
                 updated.append(sample)
             else:
-                updated.append(replace_sample_pseudo(sample, new_pseudo))
+                updated.append(replace(sample, pseudo=new_pseudo))
         dataset = updated
     return params, histories
-
-
-def replace_sample_pseudo(sample: Sample, pseudo: np.ndarray) -> Sample:
-    return Sample(image=sample.image, annotation=sample.annotation,
-                  ellipse=sample.ellipse, pseudo=pseudo, region=sample.region,
-                  gt_mask=sample.gt_mask, sample_id=sample.sample_id,
-                  meta=dict(sample.meta))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from weakseg.cli import cli_main, load_dataset, write_dataset
+from weakseg.cli import DataError, cli_main, load_dataset, write_dataset
 from weakseg.imgcore import decode_pgm, encode_pgm
 from weakseg.model import ArchConfig, init_params, save_model
 from weakseg.synthgen import SynthConfig, gen_dataset
@@ -32,9 +32,16 @@ class TestDatasetIo:
             assert (s.pseudo == 1).any()
 
     def test_missing_dir(self, tmp_path):
-        from weakseg.cli import DataError
         with pytest.raises(DataError):
             load_dataset(tmp_path / "nope")
+
+    def test_gt_shape_mismatch_names_gt_file(self, dataset_dir):
+        gt_file = dataset_dir / "gt" / "001.pgm"
+        gt_file.write_bytes(encode_pgm(np.zeros((16, 20))))
+        with pytest.raises(DataError) as info:
+            load_dataset(dataset_dir)
+        assert str(gt_file) in str(info.value)
+        assert "20x16" in str(info.value)
 
 
 class TestSynth:
@@ -93,6 +100,48 @@ class TestTrainEval:
     def test_eval_without_source_fails(self, dataset_dir, tmp_path):
         assert run("eval", "--data", str(dataset_dir),
                    "--out", str(tmp_path / "e")) == 2
+
+
+@pytest.fixture()
+def odd_dataset_dir(tmp_path):
+    """Sides of 30, which the segmenter cannot halve twice."""
+    out = tmp_path / "odd"
+    samples, manifest = gen_dataset(
+        SynthConfig(size=30, radius_range=(6, 8), seed=21), 2)
+    write_dataset(samples, manifest, out)
+    return out
+
+
+class TestModelSides:
+    def test_train_fails_before_training(self, odd_dataset_dir, tmp_path,
+                                         capsys):
+        out = tmp_path / "m"
+        assert run("train", "--data", str(odd_dataset_dir), "--out",
+                   str(out)) == 2
+        err = capsys.readouterr().err
+        assert str(odd_dataset_dir / "images" / "000.pgm") in err
+        assert "30x30" in err
+        assert not out.exists()
+
+    def test_eval_model_fails_before_inference(self, odd_dataset_dir,
+                                               tmp_path, capsys):
+        arch = ArchConfig(channels=2)
+        save_model(tmp_path / "m.bin", init_params(0, arch), arch)
+        out = tmp_path / "e"
+        assert run("eval", "--data", str(odd_dataset_dir), "--model",
+                   str(tmp_path / "m.bin"), "--out", str(out)) == 2
+        assert str(odd_dataset_dir / "images" / "000.pgm") \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eval_pred_takes_any_size(self, odd_dataset_dir, tmp_path):
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        for s in load_dataset(odd_dataset_dir):
+            (pred / f"{s.sample_id}.pgm").write_bytes(
+                encode_pgm(s.gt_mask.astype(np.float64)))
+        assert run("eval", "--data", str(odd_dataset_dir), "--pred",
+                   str(pred), "--out", str(tmp_path / "e")) == 0
 
 
 class TestSegmentCv:
@@ -208,6 +257,8 @@ class TestGradcheckAndUsage:
         ('{"epochs": "8"}', "'epochs'"),
         ("[1, 2]", "must be a JSON object"),
         ('{"arch": 4}', "'arch' must be a JSON object"),
+        ('{"loss": {"rls_weight": 5}}', "'loss.rls_weight'"),
+        ('{"batch": 4}', "'batch'"),
     ])
     def test_bad_config_is_usage_error(self, dataset_dir, tmp_path, capsys,
                                        text, named):

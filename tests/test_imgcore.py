@@ -5,7 +5,7 @@ from weakseg import imgcore
 from weakseg.imgcore import (DecodeError, affine_compose, affine_identity,
                              affine_invert, affine_rotation,
                              affine_translation, apply_affine, decode_pgm,
-                             encode_pgm, resample)
+                             encode_pgm, resample_labels)
 
 
 class TestPgmCodec:
@@ -57,37 +57,24 @@ class TestResample:
     def test_identity_dims(self):
         rng = np.random.default_rng(2)
         img = rng.uniform(0, 1, (5, 7))
-        for method in ("nearest", "bilinear"):
-            assert np.array_equal(resample(img, (7, 5), method), img)
-
-    def test_constant_field(self):
-        img = np.array([[0.3]])
-        out = resample(img, (6, 4), "bilinear")
-        assert out.shape == (4, 6)
-        assert np.allclose(out, 0.3)
-
-    def test_bilinear_monotone_row(self):
-        out = resample(np.array([[0.0, 1.0]]), (4, 1), "bilinear")
-        # oracle: center-aligned sample points -0.25, .25, .75, 1.25 clamped
-        assert np.allclose(out, [[0.0, 0.25, 0.75, 1.0]])
-        assert np.all(np.diff(out[0]) >= 0)
+        assert np.array_equal(resample_labels(img, (7, 5)), img)
 
     def test_nearest_preserves_value_set(self):
         rng = np.random.default_rng(3)
         img = rng.choice([0.1, 0.5, 0.9], size=(6, 6))
-        out = resample(img, (13, 9), "nearest")
+        out = resample_labels(img, (13, 9))
         assert set(np.unique(out)) <= set(np.unique(img))
 
     def test_nearest_commutes_with_monotone_map(self):
         rng = np.random.default_rng(4)
         img = rng.uniform(0, 1, (6, 8))
-        a = resample(img, (11, 5), "nearest") ** 2
-        b = resample(img ** 2, (11, 5), "nearest")
+        a = resample_labels(img, (11, 5)) ** 2
+        b = resample_labels(img ** 2, (11, 5))
         assert np.array_equal(a, b)
 
     def test_zero_target_rejected(self):
         with pytest.raises(ValueError):
-            resample(np.zeros((2, 2)), (0, 2))
+            resample_labels(np.zeros((2, 2)), (0, 2))
 
 
 class TestAffine:

@@ -5,8 +5,7 @@ from weakseg.cli import model_gradcheck
 from weakseg.losses import finite_diff_check
 from weakseg.model import (AdamState, ArchConfig, adam_init, adam_step,
                            backward, conv2d, conv2d_backward, forward,
-                           forward_with_params, init_params, load_model,
-                           new_workspace, save_model,
+                           init_params, load_model, new_workspace, save_model,
                            scale_attention_backward, scale_attention_fuse)
 
 
@@ -136,7 +135,7 @@ class TestBackward:
         cfg = ArchConfig(channels=4)
         params = init_params(6, cfg)
         rng = np.random.default_rng(6)
-        p1, p2, p3, cache = forward_with_params(rng.uniform(0, 1, (16, 16)),
+        p1, p2, p3, cache = forward(rng.uniform(0, 1, (16, 16)),
                                                 params, cfg)
         grads = backward(cache, (np.zeros_like(p1), np.zeros_like(p2),
                                  np.zeros_like(p3)))
@@ -146,7 +145,7 @@ class TestBackward:
         cfg = ArchConfig(channels=4)
         params = init_params(7, cfg)
         rng = np.random.default_rng(7)
-        p1, p2, p3, cache = forward_with_params(rng.uniform(0, 1, (16, 16)),
+        p1, p2, p3, cache = forward(rng.uniform(0, 1, (16, 16)),
                                                 params, cfg)
         dps = tuple(rng.normal(size=p.shape) for p in (p1, p2, p3))
         g1 = backward(cache, dps)
@@ -159,7 +158,7 @@ class TestBackward:
         cfg = ArchConfig(channels=4, pad_mode="wrap")
         params = init_params(9, cfg)
         rng = np.random.default_rng(9)
-        p1, p2, p3, cache = forward_with_params(rng.uniform(0, 1, (16, 16)),
+        p1, p2, p3, cache = forward(rng.uniform(0, 1, (16, 16)),
                                                 params, cfg, new_workspace())
         dps = tuple(rng.normal(size=p.shape) for p in (p1, p2, p3))
         g1 = backward(cache, dps)
@@ -185,7 +184,7 @@ class TestBackward:
         cfg = ArchConfig(channels=4)
         params = init_params(8, cfg)
         rng = np.random.default_rng(8)
-        p1, p2, p3, cache = forward_with_params(rng.uniform(0, 1, (16, 16)),
+        p1, p2, p3, cache = forward(rng.uniform(0, 1, (16, 16)),
                                                 params, cfg)
         with pytest.raises(ValueError):
             backward(cache, (np.zeros((3, 3)), np.zeros_like(p2),

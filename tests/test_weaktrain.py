@@ -5,7 +5,7 @@ from weakseg import weaktrain
 from weakseg.imgcore import BG, FG, IGNORE
 from weakseg.losses import rls_loss, seg_loss
 from weakseg.model import ArchConfig, adam_init, adam_step, backward, \
-    forward, forward_with_params, init_params
+    forward, init_params
 from weakseg.synthgen import SynthConfig, gen_dataset
 from weakseg.weaktrain import (TrainConfig, augment, make_pseudo_masks,
                                predict, train_config_from_json, train_rounds,
@@ -265,7 +265,7 @@ class TestTraining:
                 s, skipped = augment(ds[idx], rng, cfg.long_side)
                 if skipped:
                     continue
-                p1, p2, p3, cache = forward_with_params(s.image, ref,
+                p1, p2, p3, cache = forward(s.image, ref,
                                                         cfg.arch)
                 masks = make_pseudo_masks(s.pseudo,
                                           [p.shape for p in (p1, p2, p3)])
