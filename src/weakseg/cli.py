@@ -21,7 +21,7 @@ from .imgcore import decode_pgm, encode_pgm
 from .levelset import CvConfig, cv_evolve
 from .losses import LossConfig, bce_loss, finite_diff_check, iou_loss, rls_loss
 from .model import ArchConfig, forward, backward, init_params, load_model, \
-    save_model
+    new_workspace, save_model
 from .synthgen import Sample, SynthConfig, gen_dataset
 
 
@@ -120,6 +120,10 @@ def cmd_train(args) -> int:
     dataset = load_dataset(Path(args.data))
     _check_model_sides(dataset, Path(args.data))
     params, histories = weaktrain.train_rounds(dataset, cfg)
+    skips = sum(h.rls_skips for h in histories)
+    if skips:
+        print(f"warning: dropped the RLS term of {skips} training step(s) "
+              "with a degenerate region", file=sys.stderr)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_model(out / "model.bin", params, cfg.arch)
@@ -142,15 +146,17 @@ def cmd_eval(args) -> int:
         _check_model_sides(dataset, Path(args.data))
         params, arch = load_model(args.model)
 
-        def infer(s):
-            return s.sample_id, weaktrain.predict(s, params, arch) >= 0.5
+        def infer(chunk):
+            # one workspace per worker: its forwards run in sequence
+            ws = new_workspace()
+            return [(s.sample_id, weaktrain.predict(s, params, arch, ws) >= 0.5)
+                    for s in chunk]
 
         workers = _worker_count()
-        if workers > 1:
-            with ThreadPoolExecutor(workers) as pool:
-                preds = dict(pool.map(infer, dataset))
-        else:
-            preds = dict(infer(s) for s in dataset)
+        with ThreadPoolExecutor(workers) as pool:
+            for part in pool.map(infer, [dataset[i::workers]
+                                         for i in range(workers)]):
+                preds.update(part)
     else:
         raise DataError("eval needs --model or --pred")
     rows = []
@@ -266,15 +272,8 @@ def cmd_gradcheck(args) -> int:
     frozen = losses.region_means(p0, img, region)
 
     def rls_frozen(p):
-        n = int(region.sum())
-        d1 = (img - frozen.c1) ** 2
-        d2 = (img - frozen.c2) ** 2
-        val = float((cfg.lambda1 * p * d1
-                     + cfg.lambda2 * (1 - p) * d2)[region].sum()) / n
-        grad = np.zeros_like(p)
-        grad[region] = (cfg.lambda1 * d1[region]
-                        - cfg.lambda2 * d2[region]) / n
-        return val, grad
+        r = rls_loss(p, img, region, cfg, means=frozen)
+        return r.value, r.grad
 
     errs = {
         "bce": finite_diff_check(bce_fn, p0),

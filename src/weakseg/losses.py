@@ -84,13 +84,18 @@ def iou_loss(p: np.ndarray, g: np.ndarray) -> LossValueGrad:
     return LossValueGrad(value=1.0 - inter / union, grad=grad)
 
 
-def region_means(p: np.ndarray, img: np.ndarray, region: np.ndarray) -> RegionMeans:
-    """Prediction-weighted mean intensities inside/outside, over the region."""
+def _region_inputs(p, img, region):
     p = np.asarray(p, dtype=np.float64)
     v = np.asarray(img, dtype=np.float64)
     r = np.asarray(region, dtype=bool)
     if not (p.shape == v.shape == r.shape):
         raise ValueError("prediction, image and region shapes must match")
+    return p, v, r
+
+
+def region_means(p: np.ndarray, img: np.ndarray, region: np.ndarray) -> RegionMeans:
+    """Prediction-weighted mean intensities inside/outside, over the region."""
+    p, v, r = _region_inputs(p, img, region)
     pw = p[r]
     vw = v[r]
     w1 = float(pw.sum())
@@ -104,19 +109,23 @@ def region_means(p: np.ndarray, img: np.ndarray, region: np.ndarray) -> RegionMe
 
 def rls_loss(p: np.ndarray, img: np.ndarray, region: np.ndarray,
              cfg: LossConfig = LossConfig(),
-             through_means: bool = False) -> LossValueGrad:
+             through_means: bool = False,
+             means: RegionMeans | None = None) -> LossValueGrad:
     """Regional level set loss over the constrained region:
 
         (1/|R|) sum_R [ l1 * p * (v - c1)^2 + l2 * (1 - p) * (v - c2)^2 ]
 
-    with c1, c2 the prediction-weighted region means. By default the gradient
-    treats c1, c2 as constants (stop-gradient); through_means=True adds the
-    terms from differentiating the means as well.
+    with c1, c2 the prediction-weighted region means, or the given ``means``
+    (frozen: region_means is then skipped). By default the gradient treats
+    c1, c2 as constants (stop-gradient); through_means=True adds the terms
+    from differentiating the means as well, which frozen means exclude.
     """
-    p = np.asarray(p, dtype=np.float64)
-    v = np.asarray(img, dtype=np.float64)
-    r = np.asarray(region, dtype=bool)
-    means = region_means(p, v, r)
+    p, v, r = _region_inputs(p, img, region)
+    if means is None:
+        means = region_means(p, v, r)
+    elif through_means:
+        raise ValueError("through_means differentiates the region means; "
+                         "it cannot be combined with given means")
     c1, c2 = means.c1, means.c2
     n = int(r.sum())
     d1 = (v - c1) ** 2

@@ -10,8 +10,13 @@ be multiples of 4.
 
 ``forward`` returns the three maps and a cache holding everything
 ``backward`` needs, the parameters included; ``backward`` turns loss
-gradients on the maps into gradients for every parameter. Training lends
-``forward`` one reusable ``ConvWorkspace`` per conv layer (``new_workspace``).
+gradients on the maps into gradients for every parameter. A caller that runs
+forwards in sequence (training, pseudo-mask updates, each ``eval --model``
+worker) lends ``forward`` one reusable ``ConvWorkspace`` per conv layer
+(``new_workspace``), which then holds every large temporary: padded inputs,
+im2col matrices, pre-activations, activations and upsampled inputs. The
+cache's arrays are views of it, valid until the next ``forward`` with that
+workspace.
 """
 
 from __future__ import annotations
@@ -46,17 +51,13 @@ class AdamState:
 # ---------------------------------------------------------------------------
 # primitive layers
 
-def _pad1(x: np.ndarray, mode: str) -> np.ndarray:
-    if mode == "zero":
-        return np.pad(x, ((0, 0), (1, 1), (1, 1)))
-    return np.pad(x, ((0, 0), (1, 1), (1, 1)), mode="wrap")
-
-
 class ConvWorkspace:
-    """Reusable buffers of one conv layer: the im2col matrix ``col``
-    (forward), its gradient ``dcol`` and the padded input gradient ``dxp``
-    (backward). Each kind is one flat array, grown when a call needs more and
-    viewed at the call's shape, so inputs of varying size reuse it too."""
+    """Reusable buffers of one conv layer. Forward: the padded input ``xp``,
+    the im2col matrix ``col``, the conv output ``out``, its relu ``act`` and
+    the upsampled input ``up`` of a decoder layer. Backward: the column
+    gradient ``dcol`` and the padded input gradient ``dxp``. Each kind is one
+    flat array, grown when a call needs more and viewed at the call's shape,
+    so inputs of varying size reuse it too."""
 
     def __init__(self):
         self._flat = {}
@@ -83,15 +84,26 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1,
            pad_mode: str = "zero", workspace: ConvWorkspace | None = None):
     """3x3 convolution, pad 1. Returns (out, cache for conv2d_backward).
 
-    With no workspace every buffer is freshly allocated. With one, im2col
-    writes into its ``col`` buffer, which the cache refers to, and
-    conv2d_backward takes ``dcol`` and ``dxp`` from it: the cache is then
-    valid only until the next conv2d call with that same workspace."""
+    With no workspace every buffer is freshly allocated. With one, the
+    padded input, im2col and the output are written into its ``xp``,
+    ``col`` and ``out`` buffers, and conv2d_backward takes ``dcol`` and
+    ``dxp`` from it: the output and the cache are then valid only until the
+    next conv2d call with that same workspace."""
     if workspace is None:
         workspace = ConvWorkspace()
     cin, h, wd = x.shape
     cout = w.shape[0]
-    xp = _pad1(x, pad_mode)
+    # the padded input: the same values np.pad writes, zero or wrap border
+    xp = workspace.buffer("xp", (cin, h + 2, wd + 2))
+    xp[:, 1:h + 1, 1:wd + 1] = x
+    if pad_mode == "zero":
+        xp[:, 0] = xp[:, h + 1] = 0.0
+        xp[:, :, 0] = xp[:, :, wd + 1] = 0.0
+    else:
+        xp[:, 0, 1:wd + 1] = x[:, h - 1]
+        xp[:, h + 1, 1:wd + 1] = x[:, 0]
+        xp[:, :, 0] = xp[:, :, wd]
+        xp[:, :, wd + 1] = xp[:, :, 1]
     ho, wo = h // stride, wd // stride
     col = workspace.buffer("col", (cin, 3, 3, ho, wo))
     for di in range(3):
@@ -99,8 +111,9 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1,
             col[:, di, dj] = xp[:, di:di + (ho - 1) * stride + 1:stride,
                                 dj:dj + (wo - 1) * stride + 1:stride]
     col2 = col.reshape(cin * 9, ho * wo)
-    out = (w.reshape(cout, cin * 9) @ col2).reshape(cout, ho, wo) \
-        + b[:, None, None]
+    out = workspace.buffer("out", (cout, ho, wo))
+    np.matmul(w.reshape(cout, cin * 9), col2, out=out.reshape(cout, ho * wo))
+    out += b[:, None, None]
     return out, (col2, x.shape, w, stride, pad_mode, workspace)
 
 
@@ -138,8 +151,8 @@ def conv1x1(x: np.ndarray, w: np.ndarray, b: float) -> np.ndarray:
     return np.tensordot(w, x, axes=([0], [0])) + b
 
 
-def relu(x):
-    return np.maximum(x, 0.0)
+def relu(x, out=None):
+    return np.maximum(x, 0.0, out=out)
 
 
 def sigmoid(x):
@@ -151,8 +164,11 @@ def sigmoid(x):
     return out
 
 
-def up2(x: np.ndarray) -> np.ndarray:
-    return x.repeat(2, axis=1).repeat(2, axis=2)
+def up2(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Nearest 2x upsampling of (C,H,W) x, written into out (C,2H,2W)."""
+    c, h, w = x.shape
+    out.reshape(c, h, 2, w, 2)[...] = x[:, :, None, :, None]
+    return out
 
 
 def up2_backward(d: np.ndarray) -> np.ndarray:
@@ -266,47 +282,45 @@ def forward(img: np.ndarray, params: dict, cfg: ArchConfig,
     and full resolution. The cache holds what backward() needs, params
     included.
 
-    ``workspace`` (from new_workspace) lends the convs reusable buffers; a
-    cache made with one is valid only until the next forward with that same
-    workspace. Without one every buffer is fresh, as concurrent callers
-    need."""
+    ``workspace`` (from new_workspace) lends every conv layer its reusable
+    buffers: the im2col matrices and also the pre-activations, activations
+    and upsampled inputs in the cache are views of it, valid only until the
+    next forward with that same workspace (p1, p2 and p3 are fresh arrays).
+    Without one every buffer is fresh, as concurrent callers need."""
     img = np.asarray(img, dtype=np.float64)
     h, w = img.shape
     if h % 4 or w % 4:
         raise ValueError(f"input dims must be divisible by 4, got {h}x{w}")
     pm = cfg.pad_mode
     ws = new_workspace() if workspace is None else workspace
-    x = img[None]
-    pre0, c0 = conv2d(x, params["enc0_w"], params["enc0_b"], 2, pm,
-                      ws["enc0"])
-    e0 = relu(pre0)
-    pre1, c1 = conv2d(e0, params["enc1_w"], params["enc1_b"], 1, pm,
-                      ws["enc1"])
-    f1 = relu(pre1)
-    pre2, c2 = conv2d(f1, params["enc2_w"], params["enc2_b"], 2, pm,
-                      ws["enc2"])
-    e2 = relu(pre2)
-    pre3, c3 = conv2d(e2, params["enc3_w"], params["enc3_b"], 1, pm,
-                      ws["enc3"])
-    f2 = relu(pre3)
-    u2 = up2(f2)
+
+    def conv_relu(x, name, stride):
+        pre, c = conv2d(x, params[name + "_w"], params[name + "_b"], stride,
+                        pm, ws[name])
+        return pre, c, relu(pre, ws[name].buffer("act", pre.shape))
+
+    def up2_cat(d, p, name):
+        # up2(concatenate([d, p[None]])) written into the layer's up buffer
+        c, hd, wd = d.shape
+        x = ws[name].buffer("up", (c + 1, 2 * hd, 2 * wd))
+        up2(d, x[:c])
+        up2(p[None], x[c:])
+        return x
+
+    pre0, c0, e0 = conv_relu(img[None], "enc0", 2)
+    pre1, c1, f1 = conv_relu(e0, "enc1", 1)
+    pre2, c2, e2 = conv_relu(f1, "enc2", 2)
+    pre3, c3, f2 = conv_relu(e2, "enc3", 1)
+    u2 = up2(f2, ws["dec0"].buffer("up", f1.shape))
     if cfg.sa_enabled:
         fused, sa_cache = scale_attention_fuse(f1, u2, params)
     else:
         fused, sa_cache = 0.5 * (f1 + u2), None
-    pre4, c4 = conv2d(fused, params["dec0_w"], params["dec0_b"], 2, pm,
-                      ws["dec0"])
-    d1 = relu(pre4)
+    pre4, c4, d1 = conv_relu(fused, "dec0", 2)
     p1 = sigmoid(conv1x1(d1, params["head1_w"], params["head1_b"]))
-    x2 = up2(np.concatenate([d1, p1[None]], axis=0))
-    pre5, c5 = conv2d(x2, params["dec1_w"], params["dec1_b"], 1, pm,
-                      ws["dec1"])
-    d2 = relu(pre5)
+    pre5, c5, d2 = conv_relu(up2_cat(d1, p1, "dec1"), "dec1", 1)
     p2 = sigmoid(conv1x1(d2, params["head2_w"], params["head2_b"]))
-    x3 = up2(np.concatenate([d2, p2[None]], axis=0))
-    pre6, c6 = conv2d(x3, params["dec2_w"], params["dec2_b"], 1, pm,
-                      ws["dec2"])
-    d3 = relu(pre6)
+    pre6, c6, d3 = conv_relu(up2_cat(d2, p2, "dec2"), "dec2", 1)
     p3 = sigmoid(conv1x1(d3, params["head3_w"], params["head3_b"]))
     cache = dict(cfg=cfg, params=params, convs=(c0, c1, c2, c3, c4, c5, c6),
                  pres=(pre0, pre1, pre2, pre3, pre4, pre5, pre6),

@@ -17,7 +17,7 @@ from scipy.ndimage import gaussian_filter
 from . import imgcore
 from .imgcore import BG, FG, IGNORE, affine_compose, affine_rotation, \
     affine_scaling, affine_translation, apply_affine
-from .losses import LossConfig, rls_loss, seg_loss
+from .losses import DegenerateRegionError, LossConfig, rls_loss, seg_loss
 from .model import ArchConfig, adam_init, adam_step, backward, forward, \
     init_params, new_workspace
 from .recist import DegenerateAnnotationError, constrained_region, \
@@ -116,6 +116,8 @@ class EpochRecord:
 @dataclass
 class TrainHistory:
     records: list[EpochRecord] = field(default_factory=list)
+    # steps whose RLS term was dropped for a degenerate region; not in the CSV
+    rls_skips: int = 0
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -260,6 +262,8 @@ def _scale_mask_about_centroid(mask: np.ndarray, ratio: float) -> np.ndarray:
 
 def _sample_losses(sample: Sample, params, cfg: TrainConfig, with_rls: bool,
                    workspace: dict):
+    """(seg value, RLS value, grads); the RLS value is None when the region
+    is degenerate, and the step then keeps only the segmentation loss."""
     p1, p2, p3, cache = forward(sample.image, params, cfg.arch, workspace)
     dims = [p.shape for p in (p1, p2, p3)]
     g1, g2, g3 = make_pseudo_masks(sample.pseudo, dims)
@@ -269,9 +273,13 @@ def _sample_losses(sample: Sample, params, cfg: TrainConfig, with_rls: bool,
     if with_rls and cfg.rls_region != "off":
         region = sample.region if cfg.rls_region == "constrained" \
             else np.ones_like(sample.region, dtype=bool)
-        r = rls_loss(p3, sample.image, region, cfg.loss)
-        rls_val = r.value
-        seg_grads[2] = seg_grads[2] + cfg.rls_weight * r.grad
+        try:
+            r = rls_loss(p3, sample.image, region, cfg.loss)
+        except DegenerateRegionError:
+            rls_val = None
+        else:
+            rls_val = r.value
+            seg_grads[2] = seg_grads[2] + cfg.rls_weight * r.grad
     grads = backward(cache, seg_grads)
     return seg_val, rls_val, grads
 
@@ -282,7 +290,9 @@ def train_stage(dataset, params, cfg: TrainConfig, stage: str,
                 epochs: int | None = None):
     """Train for a block of epochs with either the segmentation losses alone
     (stage='seg_only') or with the regional level set loss added at weight
-    cfg.rls_weight (stage='seg_plus_rls')."""
+    cfg.rls_weight (stage='seg_plus_rls'). A step whose RLS region is
+    degenerate drops its RLS term (counted 0 in the epoch mean) and counts
+    in history.rls_skips."""
     if not dataset:
         raise ValueError("dataset is empty")
     if stage not in ("seg_only", "seg_plus_rls"):
@@ -311,6 +321,9 @@ def train_stage(dataset, params, cfg: TrainConfig, stage: str,
                     continue
             seg_val, rls_val, grads = _sample_losses(sample, params, cfg,
                                                      with_rls, workspace)
+            if rls_val is None:
+                history.rls_skips += 1
+                rls_val = 0.0
             total = seg_val + cfg.rls_weight * rls_val
             if not np.isfinite(total):
                 raise FloatingPointError(
@@ -348,9 +361,12 @@ def train_schedule(dataset, cfg: TrainConfig, params=None):
     return params, history
 
 
-def predict(sample: Sample, params, arch: ArchConfig) -> np.ndarray:
-    """Full-resolution probability map for one sample."""
-    _, _, p3, _ = forward(sample.image, params, arch)
+def predict(sample: Sample, params, arch: ArchConfig,
+            workspace: dict | None = None) -> np.ndarray:
+    """Full-resolution probability map for one sample. A caller that
+    predicts in sequence lends every call one ``workspace``
+    (model.new_workspace)."""
+    _, _, p3, _ = forward(sample.image, params, arch, workspace)
     return p3
 
 
@@ -370,8 +386,9 @@ def train_rounds(dataset, cfg: TrainConfig, on_round=None):
         if rnd == cfg.rounds - 1:
             break
         updated = []
+        workspace = new_workspace()
         for sample in dataset:
-            p = predict(sample, params, cfg.arch)
+            p = predict(sample, params, cfg.arch, workspace)
             emask = rasterize_ellipse(
                 sample.ellipse, (sample.image.shape[1], sample.image.shape[0]))
             new_pseudo, retain = update_pseudo_mask(p, emask)

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from weakseg import weaktrain
 from weakseg.cli import DataError, cli_main, load_dataset, write_dataset
 from weakseg.imgcore import decode_pgm, encode_pgm
-from weakseg.model import ArchConfig, init_params, save_model
+from weakseg.losses import DegenerateRegionError
+from weakseg.model import ArchConfig, init_params, load_model, save_model
 from weakseg.synthgen import SynthConfig, gen_dataset
 
 
@@ -84,6 +86,57 @@ class TestTrainEval:
         assert len(metrics) == 4
         summary = json.loads((eval_dir / "summary.json").read_text())
         assert summary["n"] == 3
+
+    def test_eval_model_same_bytes_at_any_worker_count(self, tmp_path,
+                                                       monkeypatch):
+        # 7 samples split into uneven strided chunks, one workspace each
+        data = tmp_path / "data"
+        samples, manifest = gen_dataset(
+            SynthConfig(size=32, radius_range=(6, 8), seed=22), 7)
+        write_dataset(samples, manifest, data)
+        arch = ArchConfig(channels=3)
+        params = init_params(5, arch)
+        rng = np.random.default_rng(5)
+        for name in params:
+            params[name] = params[name] + rng.uniform(-0.5, 0.5,
+                                                      params[name].shape)
+        save_model(tmp_path / "m.bin", params, arch)
+        outputs = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("WEAKSEG_THREADS", threads)
+            out = tmp_path / f"eval{threads}"
+            assert run("eval", "--data", str(data), "--model",
+                       str(tmp_path / "m.bin"), "--out", str(out)) == 0
+            outputs.append([(out / name).read_bytes() for name in
+                            ("metrics.csv", "summary.json", "histogram.csv")])
+        assert outputs[0] == outputs[1] == outputs[2]
+        rows = outputs[0][0].decode().splitlines()[1:]
+        assert len(rows) == 7
+        assert len({row.split(",", 1)[1] for row in rows}) > 1
+
+    def test_degenerate_rls_region_drops_the_term(self, dataset_dir,
+                                                  tmp_path, monkeypatch,
+                                                  capsys):
+        # a degenerate RLS region on one sample must not abort training
+        bad = decode_pgm((dataset_dir / "images" / "001.pgm").read_bytes())
+        real = weaktrain.rls_loss
+
+        def degenerate_for_001(p, img, *args, **kwargs):
+            if np.array_equal(img, bad):
+                raise DegenerateRegionError("forced")
+            return real(p, img, *args, **kwargs)
+
+        monkeypatch.setattr(weaktrain, "rls_loss", degenerate_for_001)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(
+            {"epochs": 2, "stage2_start": 1, "decay_epochs": [], "rounds": 1,
+             "augment": False, "arch": {"channels": 2}}))
+        out = tmp_path / "model"
+        assert run("train", "--data", str(dataset_dir), "--config",
+                   str(cfg_file), "--out", str(out)) == 0
+        assert "RLS term of 1 training step" in capsys.readouterr().err
+        params, _ = load_model(out / "model.bin")
+        assert all(np.all(np.isfinite(v)) for v in params.values())
 
     def test_eval_pred_dir(self, dataset_dir, tmp_path):
         pred = tmp_path / "pred"

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from weakseg import imgcore
 from weakseg.imgcore import (DecodeError, affine_compose, affine_identity,
@@ -35,6 +38,16 @@ class TestPgmCodec:
         img = rng.uniform(0, 1, (16, 16))
         back = decode_pgm(encode_pgm(img))
         assert np.abs(back - img).max() <= 1.0 / 255.0 + 1e-12
+
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                   max_side=12),
+                      elements=st.floats(0.0, 1.0)))
+    @settings(max_examples=100, deadline=None)
+    def test_roundtrip_within_half_a_level(self, img):
+        # encode rounds to the nearest of 255 levels, decode divides by 255
+        back = decode_pgm(encode_pgm(img))
+        assert back.shape == img.shape
+        assert np.abs(back - img).max() <= 0.5 / 255.0 + 1e-12
 
     def test_encode_extremes(self):
         assert encode_pgm(np.array([[1.0]])).endswith(b"\xff")

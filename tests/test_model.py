@@ -3,10 +3,11 @@ import pytest
 
 from weakseg.cli import model_gradcheck
 from weakseg.losses import finite_diff_check
-from weakseg.model import (AdamState, ArchConfig, adam_init, adam_step,
-                           backward, conv2d, conv2d_backward, forward,
-                           init_params, load_model, new_workspace, save_model,
-                           scale_attention_backward, scale_attention_fuse)
+from weakseg.model import (AdamState, ArchConfig, ConvWorkspace, adam_init,
+                           adam_step, backward, conv2d, conv2d_backward,
+                           forward, init_params, load_model, new_workspace,
+                           save_model, scale_attention_backward,
+                           scale_attention_fuse)
 
 
 class TestInit:
@@ -75,6 +76,46 @@ class TestForward:
         _, _, p3, _ = forward(img, params, cfg)
         _, _, p3s, _ = forward(np.roll(img, 4, axis=1), params, cfg)
         assert np.abs(np.roll(p3, 4, axis=1) - p3s).max() < 1e-6
+
+    @pytest.mark.parametrize("pad_mode", ["zero", "wrap"])
+    @pytest.mark.parametrize("sa_enabled", [True, False])
+    def test_reused_workspace_matches_fresh(self, pad_mode, sa_enabled):
+        # one workspace over sides that grow and shrink gives the bytes of a
+        # fresh-buffer forward; 16x24 puts the wrap border of a non-square
+        # input into buffers last shaped by a square one
+        cfg = ArchConfig(channels=3, sa_enabled=sa_enabled, pad_mode=pad_mode)
+        params = init_params(11, cfg)
+        rng = np.random.default_rng(11)
+        for name in params:
+            params[name] = params[name] + rng.uniform(-0.5, 0.5,
+                                                      params[name].shape)
+        ws = new_workspace()
+        for h, w in ((32, 32), (128, 128), (16, 24), (128, 128)):
+            img = rng.uniform(0, 1, (h, w))
+            reused = forward(img, params, cfg, ws)
+            fresh = forward(img, params, cfg)
+            for a, b in zip(reused[:3], fresh[:3]):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("pad_mode", ["zero", "wrap"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv_matches_np_pad_reference(self, pad_mode, stride):
+        # conv2d writes its own border; compare with np.pad and a direct sum
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(2, 8, 12))
+        w = rng.normal(size=(3, 2, 3, 3))
+        b = rng.normal(size=3)
+        xp = np.pad(x, ((0, 0), (1, 1), (1, 1)),
+                    mode="constant" if pad_mode == "zero" else "wrap")
+        want = np.zeros((3, 8 // stride, 12 // stride)) + b[:, None, None]
+        for di in range(3):
+            for dj in range(3):
+                patch = xp[:, di:di + 8:stride, dj:dj + 12:stride]
+                want += np.einsum("oc,chw->ohw", w[:, :, di, dj], patch)
+        ws = ConvWorkspace()
+        conv2d(rng.normal(size=(2, 16, 16)), w, b, stride, pad_mode, ws)
+        out, _ = conv2d(x, w, b, stride, pad_mode, ws)
+        assert np.allclose(out, want, rtol=0, atol=1e-12)
 
 
 class TestScaleAttention:

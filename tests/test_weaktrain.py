@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from weakseg import weaktrain
 from weakseg.imgcore import BG, FG, IGNORE
-from weakseg.losses import rls_loss, seg_loss
+from weakseg.losses import DegenerateRegionError, rls_loss, seg_loss
 from weakseg.model import ArchConfig, adam_init, adam_step, backward, \
     forward, init_params
 from weakseg.synthgen import SynthConfig, gen_dataset
@@ -100,6 +103,20 @@ class TestPseudoMasks:
             out, _ = update_pseudo_mask(p, e)
             assert np.isin(out, (BG, FG, IGNORE)).all()
             assert not ((out == FG) & ~e).any()  # FG subset of ellipse
+
+    @given(st.integers(1, 8), st.integers(1, 8), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_update_partitions_pixels(self, h, w, data):
+        p = data.draw(hnp.arrays(np.float64, (h, w),
+                                 elements=st.floats(0.0, 1.0)))
+        e = data.draw(hnp.arrays(bool, (h, w)))
+        out, retain = update_pseudo_mask(p, e)
+        fg, bg, ign = out == FG, out == BG, out == IGNORE
+        assert np.all(fg.astype(int) + bg + ign == 1)
+        pred = p >= 0.5
+        assert np.array_equal(fg, pred & e)
+        assert np.array_equal(ign, pred ^ e)
+        assert retain == (not fg.any())
 
     def test_update_threshold_validation(self):
         with pytest.raises(ValueError):
@@ -302,6 +319,34 @@ class TestTraining:
         rec = history.records[0]
         assert rec.mean_seg_loss == sum(v for v, _ in seen) / len(seen)
         assert rec.mean_rls_loss == sum(v for _, v in seen) / len(seen)
+
+    def test_degenerate_rls_region_is_counted(self, monkeypatch):
+        # the step keeps its segmentation loss and logs an RLS value of 0
+        ds = tiny_dataset(n=3)
+        real_rls, real_losses = weaktrain.rls_loss, weaktrain._sample_losses
+        seen = []
+
+        def degenerate_for_first(p, img, *args, **kwargs):
+            if img is ds[0].image:
+                raise DegenerateRegionError("forced")
+            return real_rls(p, img, *args, **kwargs)
+
+        def recording(*args):
+            out = real_losses(*args)
+            seen.append(out[:2])
+            return out
+
+        monkeypatch.setattr(weaktrain, "rls_loss", degenerate_for_first)
+        monkeypatch.setattr(weaktrain, "_sample_losses", recording)
+        cfg = tiny_config()
+        params, _, history = train_stage(ds, init_params(0, cfg.arch), cfg,
+                                         "seg_plus_rls", epochs=1)
+        assert history.rls_skips == 1
+        assert [v for _, v in seen].count(None) == 1
+        rec = history.records[0]
+        assert rec.mean_seg_loss == sum(v for v, _ in seen) / 3
+        assert rec.mean_rls_loss == sum(v or 0.0 for _, v in seen) / 3
+        assert all(np.all(np.isfinite(v)) for v in params.values())
 
     def test_empty_dataset(self):
         with pytest.raises(ValueError):
