@@ -21,7 +21,7 @@ from .imgcore import decode_pgm, encode_pgm
 from .levelset import CvConfig, cv_evolve
 from .losses import LossConfig, bce_loss, finite_diff_check, iou_loss, rls_loss
 from .model import ArchConfig, forward, backward, init_params, load_model, \
-    new_workspace, save_model
+    new_workspace, param_views, save_model
 from .synthgen import Sample, SynthConfig, gen_dataset
 
 
@@ -293,14 +293,14 @@ def cmd_gradcheck(args) -> int:
 
 def model_gradcheck(seed: int, size: int = 8, channels: int = 4) -> float:
     """Finite-difference check of the whole model composed with the training
-    losses, over all flattened parameters."""
+    losses, over the parameter vector."""
     rng = np.random.default_rng(seed)
     arch = ArchConfig(channels=channels)
     params = init_params(seed, arch)
     # move heads well off zero so downstream gradients dominate fd noise
-    for name in params:
+    for name, view in param_views(params, arch).items():
         if name.startswith("head") or name.endswith("_b"):
-            params[name] = rng.uniform(-0.5, 0.5, params[name].shape)
+            view[...] = rng.uniform(-0.5, 0.5, view.shape)
     img = rng.uniform(0, 1, (size, size))
     region = np.ones((size, size), dtype=bool)
     masks = []
@@ -309,29 +309,14 @@ def model_gradcheck(seed: int, size: int = 8, channels: int = 4) -> float:
     cfg = LossConfig()
     weight = weaktrain.TrainConfig().rls_weight
 
-    names = sorted(params)
-    sizes = [params[n].size for n in names]
-
-    def unpack(vec):
-        out = {}
-        pos = 0
-        for n, sz in zip(names, sizes):
-            out[n] = vec[pos:pos + sz].reshape(params[n].shape)
-            pos += sz
-        return out
-
     def fn(vec):
-        ps = unpack(vec)
-        p1, p2, p3, cache = forward(img, ps, arch)
+        p1, p2, p3, cache = forward(img, vec, arch)
         seg_val, seg_grads = losses.seg_loss((p1, p2, p3), masks)
         r = rls_loss(p3, img, region, cfg)
         seg_grads[2] = seg_grads[2] + weight * r.grad
-        grads = backward(cache, seg_grads)
-        gvec = np.concatenate([grads[n].reshape(-1) for n in names])
-        return seg_val + weight * r.value, gvec
+        return seg_val + weight * r.value, backward(cache, seg_grads)
 
-    vec0 = np.concatenate([params[n].reshape(-1) for n in names])
-    return finite_diff_check(fn, vec0)
+    return finite_diff_check(fn, params)
 
 
 # ---------------------------------------------------------------------------

@@ -109,23 +109,19 @@ def region_means(p: np.ndarray, img: np.ndarray, region: np.ndarray) -> RegionMe
 
 def rls_loss(p: np.ndarray, img: np.ndarray, region: np.ndarray,
              cfg: LossConfig = LossConfig(),
-             through_means: bool = False,
              means: RegionMeans | None = None) -> LossValueGrad:
     """Regional level set loss over the constrained region:
 
         (1/|R|) sum_R [ l1 * p * (v - c1)^2 + l2 * (1 - p) * (v - c2)^2 ]
 
     with c1, c2 the prediction-weighted region means, or the given ``means``
-    (frozen: region_means is then skipped). By default the gradient treats
-    c1, c2 as constants (stop-gradient); through_means=True adds the terms
-    from differentiating the means as well, which frozen means exclude.
+    (frozen: region_means is then skipped). The gradient treats c1, c2 as
+    constants, which is exact for the region means: they minimise their
+    weighted sums, so sum_R p (v - c1) = 0 = sum_R (1 - p) (v - c2).
     """
     p, v, r = _region_inputs(p, img, region)
     if means is None:
         means = region_means(p, v, r)
-    elif through_means:
-        raise ValueError("through_means differentiates the region means; "
-                         "it cannot be combined with given means")
     c1, c2 = means.c1, means.c2
     n = int(r.sum())
     d1 = (v - c1) ** 2
@@ -133,14 +129,6 @@ def rls_loss(p: np.ndarray, img: np.ndarray, region: np.ndarray,
     value = float((cfg.lambda1 * p * d1 + cfg.lambda2 * (1.0 - p) * d2)[r].sum()) / n
     grad = np.zeros_like(p)
     grad[r] = (cfg.lambda1 * d1[r] - cfg.lambda2 * d2[r]) / n
-    if through_means:
-        # dc1/dp_j = (v_j - c1) / sum(p); dc2/dp_j = -(v_j - c2) / sum(1-p)
-        w1 = float(p[r].sum())
-        w2 = float((1.0 - p[r]).sum())
-        s1 = float((p * (v - c1))[r].sum())  # d(value)/d(c1) * (-n/2/l1)
-        s2 = float(((1.0 - p) * (v - c2))[r].sum())
-        grad[r] += (-2.0 * cfg.lambda1 * s1 * (v[r] - c1) / w1
-                    + 2.0 * cfg.lambda2 * s2 * (v[r] - c2) / w2) / n
     return LossValueGrad(value=value, grad=grad)
 
 

@@ -8,11 +8,13 @@ probability heads at 1/4, 1/2 and full resolution, each upsampling stage
 taking the previous head's map as an extra input channel, so input sides must
 be multiples of 4.
 
-``forward`` returns the three maps and a cache holding everything
-``backward`` needs, the parameters included; ``backward`` turns loss
-gradients on the maps into gradients for every parameter. A caller that runs
-forwards in sequence (training, pseudo-mask updates, each ``eval --model``
-worker) lends ``forward`` one reusable ``ConvWorkspace`` per conv layer
+The parameters are one float64 vector laid out as the model.bin payload;
+``param_views`` gives named views into it. ``forward`` returns the three
+maps and a cache holding everything ``backward`` needs, the parameters
+included; ``backward`` returns one gradient vector of the same layout, which
+``adam_step`` applies in place. A caller that runs forwards in sequence
+(training, pseudo-mask updates, each ``eval --model`` worker) lends
+``forward`` one reusable ``ConvWorkspace`` per conv layer
 (``new_workspace``), which then holds every large temporary: padded inputs,
 im2col matrices, pre-activations, activations and upsampled inputs. The
 cache's arrays are views of it, valid until the next ``forward`` with that
@@ -43,8 +45,8 @@ class ArchConfig:
 
 @dataclass
 class AdamState:
-    m: dict
-    v: dict
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
 
@@ -202,18 +204,39 @@ def _param_shapes(cfg: ArchConfig) -> dict:
     return shapes
 
 
-def init_params(seed: int, cfg: ArchConfig) -> dict:
-    """Fan-in scaled uniform kernels; heads and all biases start at zero, so
-    the initial predictions are exactly 0.5 everywhere."""
+def _layout(cfg: ArchConfig):
+    """(model.bin header, parameter count). The parameter vector holds the
+    parameters by sorted name, each taking prod(shape) elements; the header's
+    manifest records each one's name, shape and offset."""
+    shapes, manifest, size = _param_shapes(cfg), [], 0
+    for name in sorted(shapes):
+        manifest.append({"name": name, "shape": list(shapes[name]),
+                         "offset": size})
+        size += math.prod(shapes[name])
+    return {"version": 1, "arch": asdict(cfg), "manifest": manifest}, size
+
+
+def param_views(params: np.ndarray, cfg: ArchConfig) -> dict:
+    """Named views into a parameter (or gradient) vector, in _param_shapes
+    order; writing a view writes the vector."""
+    header, size = _layout(cfg)
+    if params.shape != (size,):
+        raise ValueError(f"need {size} parameters, got shape {params.shape}")
+    offsets = {e["name"]: e["offset"] for e in header["manifest"]}
+    return {name: params[offsets[name]:offsets[name] + math.prod(shape)]
+            .reshape(shape) for name, shape in _param_shapes(cfg).items()}
+
+
+def init_params(seed: int, cfg: ArchConfig) -> np.ndarray:
+    """Fan-in scaled uniform kernels, drawn in _param_shapes order; heads and
+    all biases start at zero, so the initial predictions are exactly 0.5
+    everywhere."""
     rng = np.random.default_rng(seed)
-    params = {}
-    for name, shape in _param_shapes(cfg).items():
-        if name.startswith("head") or name.endswith("_b"):
-            params[name] = np.zeros(shape)
-        else:
-            arr = np.asarray(np.prod(shape[1:]), dtype=np.float64)
-            bound = 1.0 / np.sqrt(float(arr))
-            params[name] = rng.uniform(-bound, bound, size=shape)
+    params = np.zeros(_layout(cfg)[1])
+    for name, view in param_views(params, cfg).items():
+        if not (name.startswith("head") or name.endswith("_b")):
+            bound = 1.0 / np.sqrt(float(math.prod(view.shape[1:])))
+            view[...] = rng.uniform(-bound, bound, size=view.shape)
     return params
 
 
@@ -249,7 +272,9 @@ def scale_attention_fuse(f1: np.ndarray, f2: np.ndarray, params: dict,
     return fused, cache
 
 
-def scale_attention_backward(dout: np.ndarray, cache, params: dict):
+def scale_attention_backward(dout: np.ndarray, cache, params: dict,
+                             grads: dict):
+    """Returns (df1, df2); writes the gate gradients into the views grads."""
     feats, zs, pre1s, hs, gates, (w1n, w2n), prefix = cache
     f1, f2 = feats
     npix = f1.shape[1] * f1.shape[2]
@@ -258,29 +283,28 @@ def scale_attention_backward(dout: np.ndarray, cache, params: dict):
     total = gates[0] + gates[1]
     da = [(dwn[0] - dwn[1]) * gates[1] / total ** 2,
           (dwn[1] - dwn[0]) * gates[0] / total ** 2]
-    grads = {}
     for s in (0, 1):
         pfx = prefix[s]
         dpre2 = da[s] * gates[s] * (1.0 - gates[s])
-        grads[f"{pfx}_w2"] = np.outer(dpre2, hs[s])
-        grads[f"{pfx}_b2"] = dpre2
+        grads[f"{pfx}_w2"][...] = np.outer(dpre2, hs[s])
+        grads[f"{pfx}_b2"][...] = dpre2
         dh = params[f"{pfx}_w2"].T @ dpre2
         dpre1 = dh * (pre1s[s] > 0)
-        grads[f"{pfx}_w1"] = np.outer(dpre1, zs[s])
-        grads[f"{pfx}_b1"] = dpre1
+        grads[f"{pfx}_w1"][...] = np.outer(dpre1, zs[s])
+        grads[f"{pfx}_b1"][...] = dpre1
         dz = params[f"{pfx}_w1"].T @ dpre1
         df[s] = df[s] + dz[:, None, None] / npix
-    return df[0], df[1], grads
+    return df[0], df[1]
 
 
 # ---------------------------------------------------------------------------
 # forward / backward
 
-def forward(img: np.ndarray, params: dict, cfg: ArchConfig,
+def forward(img: np.ndarray, params: np.ndarray, cfg: ArchConfig,
             workspace: dict | None = None):
-    """Run the segmenter; returns (p1, p2, p3, cache) with maps at 1/4, 1/2
-    and full resolution. The cache holds what backward() needs, params
-    included.
+    """Run the segmenter with the parameter vector ``params``; returns (p1,
+    p2, p3, cache) with maps at 1/4, 1/2 and full resolution. The cache holds
+    what backward() needs, params included.
 
     ``workspace`` (from new_workspace) lends every conv layer its reusable
     buffers: the im2col matrices and also the pre-activations, activations
@@ -293,10 +317,11 @@ def forward(img: np.ndarray, params: dict, cfg: ArchConfig,
         raise ValueError(f"input dims must be divisible by 4, got {h}x{w}")
     pm = cfg.pad_mode
     ws = new_workspace() if workspace is None else workspace
+    pv = param_views(params, cfg)
 
     def conv_relu(x, name, stride):
-        pre, c = conv2d(x, params[name + "_w"], params[name + "_b"], stride,
-                        pm, ws[name])
+        pre, c = conv2d(x, pv[name + "_w"], pv[name + "_b"], stride, pm,
+                        ws[name])
         return pre, c, relu(pre, ws[name].buffer("act", pre.shape))
 
     def up2_cat(d, p, name):
@@ -313,32 +338,32 @@ def forward(img: np.ndarray, params: dict, cfg: ArchConfig,
     pre3, c3, f2 = conv_relu(e2, "enc3", 1)
     u2 = up2(f2, ws["dec0"].buffer("up", f1.shape))
     if cfg.sa_enabled:
-        fused, sa_cache = scale_attention_fuse(f1, u2, params)
+        fused, sa_cache = scale_attention_fuse(f1, u2, pv)
     else:
         fused, sa_cache = 0.5 * (f1 + u2), None
     pre4, c4, d1 = conv_relu(fused, "dec0", 2)
-    p1 = sigmoid(conv1x1(d1, params["head1_w"], params["head1_b"]))
+    p1 = sigmoid(conv1x1(d1, pv["head1_w"], pv["head1_b"]))
     pre5, c5, d2 = conv_relu(up2_cat(d1, p1, "dec1"), "dec1", 1)
-    p2 = sigmoid(conv1x1(d2, params["head2_w"], params["head2_b"]))
+    p2 = sigmoid(conv1x1(d2, pv["head2_w"], pv["head2_b"]))
     pre6, c6, d3 = conv_relu(up2_cat(d2, p2, "dec2"), "dec2", 1)
-    p3 = sigmoid(conv1x1(d3, params["head3_w"], params["head3_b"]))
-    cache = dict(cfg=cfg, params=params, convs=(c0, c1, c2, c3, c4, c5, c6),
+    p3 = sigmoid(conv1x1(d3, pv["head3_w"], pv["head3_b"]))
+    cache = dict(cfg=cfg, params=params, views=pv,
+                 convs=(c0, c1, c2, c3, c4, c5, c6),
                  pres=(pre0, pre1, pre2, pre3, pre4, pre5, pre6),
-                 sa_cache=sa_cache, f1=f1, f2=f2,
-                 d=(d1, d2, d3), p=(p1, p2, p3))
+                 sa_cache=sa_cache, d=(d1, d2, d3), p=(p1, p2, p3))
     return p1, p2, p3, cache
 
 
-def _head_backward(dp, p, d, wname, params, grads):
+def _head_backward(dp, p, d, name, params, grads):
     dpre = dp * p * (1.0 - p)
-    grads[wname + "_w"] = np.sum(dpre[None] * d, axis=(1, 2))
-    grads[wname + "_b"] = np.asarray(dpre.sum())
-    return params[wname + "_w"][:, None, None] * dpre[None]
+    grads[name + "_w"][...] = np.sum(dpre[None] * d, axis=(1, 2))
+    grads[name + "_b"][...] = dpre.sum()
+    return params[name + "_w"][:, None, None] * dpre[None]
 
 
-def backward(cache, dps) -> dict:
-    """Reverse pass; dps are the loss gradients on (p1, p2, p3). Returns
-    gradients for every parameter."""
+def backward(cache, dps) -> np.ndarray:
+    """Reverse pass; dps are the loss gradients on (p1, p2, p3). Returns the
+    gradient vector, laid out as the parameter vector."""
     cfg = cache["cfg"]
     c0, c1, c2, c3, c4, c5, c6 = cache["convs"]
     pre0, pre1, pre2, pre3, pre4, pre5, pre6 = cache["pres"]
@@ -348,99 +373,104 @@ def backward(cache, dps) -> dict:
     for dp, p in ((dp1, p1), (dp2, p2), (dp3, p3)):
         if dp.shape != p.shape:
             raise ValueError(f"grad shape {dp.shape} != map shape {p.shape}")
-    params = cache["params"]
-    grads = {}
+    params = cache["views"]
+    gvec = np.zeros_like(cache["params"])
+    grads = param_views(gvec, cfg)
 
+    def conv_backward(name, dout, conv_cache, input_grad=True):
+        dx, grads[name + "_w"][...], grads[name + "_b"][...] = \
+            conv2d_backward(dout, conv_cache, input_grad)
+        return dx
+
+    # each decoder input's last channel is the previous head's map
     dd3 = _head_backward(dp3, p3, d3, "head3", params, grads)
-    dx3, grads["dec2_w"], grads["dec2_b"] = conv2d_backward(dd3 * (pre6 > 0), c6)
-    dcat2 = up2_backward(dx3)
-    dd2 = dcat2[:-1]
-    dp2_extra = dcat2[-1]
-
-    dd2 = dd2 + _head_backward(dp2 + dp2_extra, p2, d2, "head2", params, grads)
-    dx2, grads["dec1_w"], grads["dec1_b"] = conv2d_backward(dd2 * (pre5 > 0), c5)
-    dcat1 = up2_backward(dx2)
-    dd1 = dcat1[:-1]
-    dp1_extra = dcat1[-1]
-
-    dd1 = dd1 + _head_backward(dp1 + dp1_extra, p1, d1, "head1", params, grads)
-    dfused, grads["dec0_w"], grads["dec0_b"] = conv2d_backward(dd1 * (pre4 > 0), c4)
+    dcat2 = up2_backward(conv_backward("dec2", dd3 * (pre6 > 0), c6))
+    dd2 = dcat2[:-1] + _head_backward(dp2 + dcat2[-1], p2, d2, "head2",
+                                      params, grads)
+    dcat1 = up2_backward(conv_backward("dec1", dd2 * (pre5 > 0), c5))
+    dd1 = dcat1[:-1] + _head_backward(dp1 + dcat1[-1], p1, d1, "head1",
+                                      params, grads)
+    dfused = conv_backward("dec0", dd1 * (pre4 > 0), c4)
 
     if cfg.sa_enabled:
-        df1, du2, sa_grads = scale_attention_backward(dfused, cache["sa_cache"],
-                                                      params)
-        grads.update(sa_grads)
+        df1, du2 = scale_attention_backward(dfused, cache["sa_cache"], params,
+                                            grads)
     else:
         df1 = 0.5 * dfused
         du2 = 0.5 * dfused
     df2 = up2_backward(du2)
 
-    de2, grads["enc3_w"], grads["enc3_b"] = conv2d_backward(df2 * (pre3 > 0), c3)
-    df1b, grads["enc2_w"], grads["enc2_b"] = conv2d_backward(de2 * (pre2 > 0), c2)
-    df1 = df1 + df1b
-    de0, grads["enc1_w"], grads["enc1_b"] = conv2d_backward(df1 * (pre1 > 0), c1)
-    _, grads["enc0_w"], grads["enc0_b"] = conv2d_backward(de0 * (pre0 > 0), c0,
-                                                          input_grad=False)
-    return grads
+    de2 = conv_backward("enc3", df2 * (pre3 > 0), c3)
+    df1 = df1 + conv_backward("enc2", de2 * (pre2 > 0), c2)
+    de0 = conv_backward("enc1", df1 * (pre1 > 0), c1)
+    conv_backward("enc0", de0 * (pre0 > 0), c0, input_grad=False)
+    return gvec
 
 
 # ---------------------------------------------------------------------------
 # Adam
 
-def adam_init(params: dict) -> AdamState:
-    return AdamState(m={k: np.zeros_like(v) for k, v in params.items()},
-                     v={k: np.zeros_like(v) for k, v in params.items()},
-                     step=0)
+def adam_init(params: np.ndarray) -> AdamState:
+    return AdamState(m=np.zeros_like(params), v=np.zeros_like(params))
 
 
-def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-    """One in-place Adam update; returns (params, state)."""
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
+              lr: float, beta1: float = 0.9, beta2: float = 0.999,
+              eps: float = 1e-8):
+    """One in-place Adam update of the parameter vector; returns (params,
+    state). A non-finite gradient raises FloatingPointError naming its first
+    index before params or state change."""
+    finite = np.isfinite(grads)
+    if not finite.all():
+        raise FloatingPointError("non-finite gradient at parameter index "
+                                 f"{int(np.argmin(finite))}")
     state.step += 1
-    t = state.step
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
-    for name, p in params.items():
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient for parameter {name}")
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * g * g
-        mhat = state.m[name] / bc1
-        vhat = state.v[name] / bc2
-        params[name] = p - lr * mhat / (np.sqrt(vhat) + eps)
+    state.m = beta1 * state.m + (1.0 - beta1) * grads
+    state.v = beta2 * state.v + (1.0 - beta2) * grads * grads
+    mhat = state.m / (1.0 - beta1 ** state.step)
+    vhat = state.v / (1.0 - beta2 ** state.step)
+    params -= lr * mhat / (np.sqrt(vhat) + eps)
     return params, state
 
 
 # ---------------------------------------------------------------------------
 # model file: one JSON header line + little-endian float64 payload
 
-def save_model(path, params: dict, cfg: ArchConfig) -> None:
-    names = sorted(params)
-    manifest = []
-    offset = 0
-    for name in names:
-        shape = list(params[name].shape)
-        manifest.append({"name": name, "shape": shape, "offset": offset})
-        offset += int(np.prod(shape)) if shape else 1
-    header = json.dumps({"version": 1, "arch": asdict(cfg),
-                         "manifest": manifest}, sort_keys=True)
-    payload = np.concatenate([params[n].reshape(-1) for n in names]) \
-        if names else np.empty(0)
+def save_model(path, params: np.ndarray, cfg: ArchConfig) -> None:
+    header = json.dumps(_layout(cfg)[0], sort_keys=True)
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii") + b"\n")
-        fh.write(payload.astype("<f8").tobytes())
+        fh.write(params.astype("<f8").tobytes())
 
 
 def load_model(path):
+    """Returns (parameter vector, ArchConfig). A header other than the one
+    save_model writes for its arch, or a payload of another length than
+    that arch needs, raises ValueError naming the file."""
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("ascii"))
-        payload = np.frombuffer(fh.read(), dtype="<f8")
-    cfg = ArchConfig(**header["arch"])
-    params = {}
-    for entry in header["manifest"]:
-        shape = tuple(entry["shape"])
-        n = int(np.prod(shape)) if shape else 1
-        arr = payload[entry["offset"]:entry["offset"] + n].reshape(shape)
-        params[entry["name"]] = np.array(arr)
-    return params, cfg
+        line, payload = fh.readline(), fh.read()
+    try:
+        header = json.loads(line.decode("ascii"))
+    except ValueError:
+        header = None
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: the first line is not a JSON object")
+    arch, fields = header.get("arch"), asdict(ArchConfig())
+    if not isinstance(arch, dict) or arch.keys() != fields.keys() \
+            or any(type(arch[k]) is not type(fields[k]) for k in fields):
+        raise ValueError(f"{path}: 'arch' must hold exactly channels (int), "
+                         f"sa_enabled (bool) and pad_mode (str), got "
+                         f"{json.dumps(arch)}")
+    try:
+        cfg = ArchConfig(**arch)
+    except ValueError as exc:
+        raise ValueError(f"{path}: 'arch': {exc}") from None
+    want, size = _layout(cfg)
+    for key in sorted(header.keys() | want.keys()):
+        if header.get(key) != want.get(key):
+            raise ValueError(f"{path}: header key {key!r} differs from the "
+                             f"header of a model with arch {json.dumps(arch)}")
+    if len(payload) != 8 * size:
+        raise ValueError(f"{path}: the payload holds {len(payload)} bytes, "
+                         f"the arch needs {8 * size}")
+    return np.frombuffer(payload, dtype="<f8").astype(np.float64), cfg

@@ -179,8 +179,9 @@ def augment(sample: Sample, rng: np.random.Generator,
     """One random augmentation: affine (scale, rotation, resize so the long
     side lands in the configured range, translation keeping the lesion
     on-grid), brightness/contrast jitter, Gaussian blur. The ellipse, pseudo
-    mask and constrained region are recomputed from the mapped annotation.
-    Returns (sample', skipped)."""
+    mask and constrained region are recomputed from the mapped annotation;
+    the gt mask is not warped (training never reads it), so sample' has
+    none. Returns (sample', skipped)."""
     h, w = sample.image.shape
     for _ in range(max_retries):
         scale = rng.uniform(0.8, 1.2)
@@ -218,12 +219,8 @@ def augment(sample: Sample, rng: np.random.Generator,
             continue
         pseudo = _transfer_pseudo(sample.pseudo, emask)
         region = constrained_region(e, dims)
-        gt = None
-        if sample.gt_mask is not None:
-            gt = apply_affine(sample.gt_mask.astype(np.float64), t,
-                              dims, fill=0.0) >= 0.5
         return Sample(image=img, annotation=ann, ellipse=e, pseudo=pseudo,
-                      region=region, gt_mask=gt, sample_id=sample.sample_id,
+                      region=region, sample_id=sample.sample_id,
                       meta=dict(sample.meta)), False
     return sample, True
 
@@ -341,11 +338,10 @@ def train_stage(dataset, params, cfg: TrainConfig, stage: str,
     return params, state, history
 
 
-def train_schedule(dataset, cfg: TrainConfig, params=None):
-    """One full round: stage 1 (seg only) for stage2_start epochs, then
-    stage 2 with the RLS term for the remainder."""
-    if params is None:
-        params = init_params(cfg.seed, cfg.arch)
+def train_schedule(dataset, cfg: TrainConfig):
+    """One full round from the initial parameters: stage 1 (seg only) for
+    stage2_start epochs, then stage 2 with the RLS term for the remainder."""
+    params = init_params(cfg.seed, cfg.arch)
     rng = np.random.default_rng((cfg.seed, 17))
     state = adam_init(params)
     history = TrainHistory()

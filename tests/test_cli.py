@@ -97,9 +97,7 @@ class TestTrainEval:
         arch = ArchConfig(channels=3)
         params = init_params(5, arch)
         rng = np.random.default_rng(5)
-        for name in params:
-            params[name] = params[name] + rng.uniform(-0.5, 0.5,
-                                                      params[name].shape)
+        params += rng.uniform(-0.5, 0.5, params.shape)
         save_model(tmp_path / "m.bin", params, arch)
         outputs = []
         for threads in ("1", "2", "3"):
@@ -136,7 +134,7 @@ class TestTrainEval:
                    str(cfg_file), "--out", str(out)) == 0
         assert "RLS term of 1 training step" in capsys.readouterr().err
         params, _ = load_model(out / "model.bin")
-        assert all(np.all(np.isfinite(v)) for v in params.values())
+        assert np.all(np.isfinite(params))
 
     def test_eval_pred_dir(self, dataset_dir, tmp_path):
         pred = tmp_path / "pred"
@@ -153,6 +151,53 @@ class TestTrainEval:
     def test_eval_without_source_fails(self, dataset_dir, tmp_path):
         assert run("eval", "--data", str(dataset_dir),
                    "--out", str(tmp_path / "e")) == 2
+
+
+def _edit_header(**changes):
+    def edit(header, payload):
+        header.update(changes)
+        return header, payload
+    return edit
+
+
+def _edit_arch(**changes):
+    def edit(header, payload):
+        header["arch"].update(changes)
+        return header, payload
+    return edit
+
+
+class TestModelFile:
+    @pytest.mark.parametrize("edit, named", [
+        (lambda h, p: ({"version": 1}, p), "'arch' must hold exactly"),
+        (_edit_header(version=2), "header key 'version'"),
+        (_edit_header(extra=0), "header key 'extra'"),
+        (_edit_arch(depth=3), "'arch' must hold exactly"),
+        (_edit_arch(channels="2"), "'arch' must hold exactly"),
+        (_edit_arch(sa_enabled=1), "'arch' must hold exactly"),
+        (_edit_arch(pad_mode="mirror"), "unknown pad_mode"),
+        (_edit_arch(channels=3), "header key 'manifest'"),
+        (lambda h, p: (h, p[:-8]), "the payload holds"),
+        (lambda h, p: (h, p + bytes(8)), "the payload holds"),
+        (lambda h, p: (b"{", p), "not a JSON object"),
+    ])
+    def test_bad_model_file_is_data_error(self, dataset_dir, tmp_path,
+                                          capsys, edit, named):
+        # eval --model exits 2 naming the file, before any inference
+        model = tmp_path / "m.bin"
+        arch = ArchConfig(channels=2)
+        save_model(model, init_params(0, arch), arch)
+        line, payload = model.read_bytes().split(b"\n", 1)
+        header, payload = edit(json.loads(line), payload)
+        if not isinstance(header, bytes):
+            header = json.dumps(header).encode()
+        model.write_bytes(header + b"\n" + payload)
+        out = tmp_path / "e"
+        assert run("eval", "--data", str(dataset_dir), "--model", str(model),
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert str(model) in err and named in err
+        assert not out.exists()
 
 
 @pytest.fixture()

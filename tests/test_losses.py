@@ -199,8 +199,6 @@ class TestRls:
                            (2.0 * d1 - 0.5 * d2)[region] / n, atol=1e-15)
         assert np.all(out.grad[~region] == 0.0)
         with pytest.raises(ValueError):
-            rls_loss(p, img, region, cfg, through_means=True, means=frozen)
-        with pytest.raises(ValueError):
             rls_loss(p[:5], img, region, cfg, means=frozen)
 
     def test_finite_differences_through_means(self):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from weakseg.losses import finite_diff_check
 from weakseg.model import (AdamState, ArchConfig, ConvWorkspace, adam_init,
                            adam_step, backward, conv2d, conv2d_backward,
                            forward, init_params, load_model, new_workspace,
-                           save_model, scale_attention_backward,
+                           param_views, save_model, scale_attention_backward,
                            scale_attention_fuse)
 
 
@@ -15,7 +17,7 @@ class TestInit:
         cfg = ArchConfig(channels=4)
         a = init_params(7, cfg)
         b = init_params(7, cfg)
-        assert all(np.array_equal(a[k], b[k]) for k in a)
+        assert np.array_equal(a, b)
 
     def test_zero_heads_give_half(self):
         cfg = ArchConfig(channels=4)
@@ -28,7 +30,7 @@ class TestInit:
         cfg = ArchConfig(channels=4)
         a = init_params(0, cfg)
         b = init_params(1, cfg)
-        assert any(not np.array_equal(a[k], b[k]) for k in a)
+        assert not np.array_equal(a, b)
 
 
 class TestForward:
@@ -69,9 +71,9 @@ class TestForward:
         cfg = ArchConfig(channels=4, pad_mode="wrap")
         params = init_params(5, cfg)
         rng = np.random.default_rng(5)
-        for name in params:  # heads off zero so p3 is non-constant
-            if name.startswith("head"):
-                params[name] = rng.uniform(-0.5, 0.5, params[name].shape)
+        for name, view in param_views(params, cfg).items():
+            if name.startswith("head"):  # heads off zero: p3 non-constant
+                view[...] = rng.uniform(-0.5, 0.5, view.shape)
         img = rng.uniform(0, 1, (32, 32))
         _, _, p3, _ = forward(img, params, cfg)
         _, _, p3s, _ = forward(np.roll(img, 4, axis=1), params, cfg)
@@ -86,9 +88,8 @@ class TestForward:
         cfg = ArchConfig(channels=3, sa_enabled=sa_enabled, pad_mode=pad_mode)
         params = init_params(11, cfg)
         rng = np.random.default_rng(11)
-        for name in params:
-            params[name] = params[name] + rng.uniform(-0.5, 0.5,
-                                                      params[name].shape)
+        for view in param_views(params, cfg).values():
+            view += rng.uniform(-0.5, 0.5, view.shape)
         ws = new_workspace()
         for h, w in ((32, 32), (128, 128), (16, 24), (128, 128)):
             img = rng.uniform(0, 1, (h, w))
@@ -122,7 +123,7 @@ class TestScaleAttention:
     def _setup(self, seed, c=4, hw=6):
         rng = np.random.default_rng(seed)
         cfg = ArchConfig(channels=c)
-        params = init_params(seed, cfg)
+        params = param_views(init_params(seed, cfg), cfg)
         f1 = rng.uniform(-1, 1, (c, hw, hw))
         f2 = rng.uniform(-1, 1, (c, hw, hw))
         return params, f1, f2, rng
@@ -163,7 +164,8 @@ class TestScaleAttention:
             a = x[: f1.size].reshape(f1.shape)
             b = x[f1.size:].reshape(f1.shape)
             fused, cache = scale_attention_fuse(a, b, params)
-            da, db, _ = scale_attention_backward(w, cache, params)
+            grads = {k: np.zeros_like(v) for k, v in params.items()}
+            da, db = scale_attention_backward(w, cache, params, grads)
             return float((fused * w).sum()), np.concatenate(
                 [da.reshape(-1), db.reshape(-1)])
 
@@ -180,7 +182,7 @@ class TestBackward:
                                                 params, cfg)
         grads = backward(cache, (np.zeros_like(p1), np.zeros_like(p2),
                                  np.zeros_like(p3)))
-        assert all(np.all(g == 0.0) for g in grads.values())
+        assert np.all(grads == 0.0)
 
     def test_linearity(self):
         cfg = ArchConfig(channels=4)
@@ -191,7 +193,7 @@ class TestBackward:
         dps = tuple(rng.normal(size=p.shape) for p in (p1, p2, p3))
         g1 = backward(cache, dps)
         g2 = backward(cache, tuple(2.0 * d for d in dps))
-        assert all(np.allclose(2.0 * g1[k], g2[k], atol=1e-12) for k in g1)
+        assert np.allclose(2.0 * g1, g2, atol=1e-12)
 
     def test_workspace_backward_repeats(self):
         # backward re-zeroes the workspace's dxp buffers, so a second call on
@@ -204,7 +206,7 @@ class TestBackward:
         dps = tuple(rng.normal(size=p.shape) for p in (p1, p2, p3))
         g1 = backward(cache, dps)
         g2 = backward(cache, dps)
-        assert all(np.array_equal(g1[k], g2[k]) for k in g1)
+        assert np.array_equal(g1, g2)
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_skipped_input_grad_keeps_weight_grads(self, stride):
@@ -234,17 +236,16 @@ class TestBackward:
 
 class TestAdam:
     def test_zero_grads_keep_params(self):
-        params = {"w": np.array([1.0, -2.0])}
+        params = np.array([1.0, -2.0])
         state = adam_init(params)
-        out, _ = adam_step(dict(params), {"w": np.zeros(2)}, state, lr=0.1)
-        assert np.array_equal(out["w"], params["w"])
+        out, _ = adam_step(params.copy(), np.zeros(2), state, lr=0.1)
+        assert np.array_equal(out, params)
 
     def test_first_step_magnitude(self):
-        params = {"w": np.array([0.0, 0.0])}
+        params = np.array([0.0, 0.0])
         state = adam_init(params)
-        g = {"w": np.array([3.0, -0.5])}
-        out, _ = adam_step(params, g, state, lr=0.001)
-        assert np.allclose(out["w"], [-0.001, 0.001], atol=1e-6)
+        out, _ = adam_step(params, np.array([3.0, -0.5]), state, lr=0.001)
+        assert np.allclose(out, [-0.001, 0.001], atol=1e-6)
 
     def test_two_step_scalar_recursion(self):
         # hand-run Adam on f(x) = x^2 from x = 1
@@ -255,19 +256,32 @@ class TestAdam:
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             x -= lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
-        params = {"x": np.array([1.0])}
+        params = np.array([1.0])
         state = adam_init(params)
         for _ in range(2):
-            g = {"x": 2.0 * params["x"]}
-            params, state = adam_step(params, g, state, lr=0.1)
-        assert abs(params["x"][0] - x) < 1e-12
+            params, state = adam_step(params, 2.0 * params, state, lr=0.1)
+        assert abs(params[0] - x) < 1e-12
         assert state.step == 2
 
     def test_nonfinite_grad_rejected(self):
-        params = {"w": np.zeros(2)}
+        params = np.zeros(2)
         state = adam_init(params)
-        with pytest.raises(FloatingPointError, match="w"):
-            adam_step(params, {"w": np.array([np.nan, 0.0])}, state, lr=0.1)
+        with pytest.raises(FloatingPointError, match="index 0"):
+            adam_step(params, np.array([np.nan, 0.0]), state, lr=0.1)
+
+    def test_nonfinite_grad_changes_nothing(self):
+        # a NaN late in the vector must leave every parameter, both moments
+        # and the step count as they were
+        params = np.array([1.0, 2.0, 3.0])
+        state = adam_init(params)
+        adam_step(params, np.array([0.5, -1.0, 2.0]), state, lr=0.1)
+        before = (params.copy(), state.m.copy(), state.v.copy(), state.step)
+        with pytest.raises(FloatingPointError, match="index 2"):
+            adam_step(params, np.array([1.0, 1.0, np.inf]), state, lr=0.1)
+        assert np.array_equal(params, before[0])
+        assert np.array_equal(state.m, before[1])
+        assert np.array_equal(state.v, before[2])
+        assert state.step == before[3]
 
 
 def test_model_file_roundtrip(tmp_path):
@@ -277,9 +291,29 @@ def test_model_file_roundtrip(tmp_path):
     save_model(path, params, cfg)
     loaded, cfg2 = load_model(path)
     assert cfg2 == cfg
-    assert set(loaded) == set(params)
-    assert all(np.array_equal(loaded[k], params[k]) for k in params)
+    assert np.array_equal(loaded, params)
     # byte determinism
     path2 = tmp_path / "model2.bin"
     save_model(path2, params, cfg)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize("sa_enabled", [True, False])
+def test_param_views_follow_the_file_layout(tmp_path, sa_enabled):
+    # views come in definition order, and each names the payload slice the
+    # model.bin manifest gives for it
+    cfg = ArchConfig(channels=3, sa_enabled=sa_enabled)
+    params = np.arange(float(init_params(0, cfg).size))
+    save_model(tmp_path / "m.bin", params, cfg)
+    header = json.loads((tmp_path / "m.bin").read_bytes().split(b"\n")[0])
+    views = param_views(params, cfg)
+    assert list(views)[:4] == ["enc0_w", "enc0_b", "enc1_w", "enc1_b"]
+    assert sorted(views) == [e["name"] for e in header["manifest"]]
+    for e in header["manifest"]:
+        view = views[e["name"]]
+        assert list(view.shape) == e["shape"]
+        assert np.shares_memory(view, params)
+        assert np.array_equal(view.reshape(-1), params[
+            e["offset"]:e["offset"] + view.size])
+    with pytest.raises(ValueError, match="shape"):
+        param_views(params[:-1], cfg)

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from weakseg.imgcore import affine_rotation, affine_scaling
+from weakseg.imgcore import affine_compose, affine_rotation, affine_scaling, \
+    affine_translation
 from weakseg.recist import (DegenerateAnnotationError, Ellipse,
                             RecistAnnotation, constrained_region, fit_ellipse,
                             rasterize_ellipse, read_annotation_csv,
@@ -30,19 +33,34 @@ class TestFitEllipse:
         with pytest.raises(DegenerateAnnotationError):
             RecistAnnotation((1, 1), (1, 1), (0, 3), (0, -3))
 
-    def test_equivariance_under_rigid_transform(self):
-        rng = np.random.default_rng(0)
-        ann = RecistAnnotation((20, 10), (6, 10), (13, 14), (13, 6))
-        for _ in range(20):
-            theta = rng.uniform(0, np.pi)
-            t = affine_rotation(theta, center=(rng.uniform(0, 5),
-                                               rng.uniform(0, 5)))
-            e_then = fit_ellipse(transform_annotation(ann, t))
-            e = fit_ellipse(ann)
-            center_mapped = (np.array(e.center) @ t[:, :2].T + t[:, 2])
-            assert np.allclose(e_then.center, center_mapped, atol=1e-9)
-            assert abs(e_then.a - e.a) < 1e-9
-            assert abs(e_then.b - e.b) < 1e-9
+    @given(st.floats(-50, 50), st.floats(-50, 50), st.floats(0, 2 * np.pi),
+           st.floats(1, 30), st.floats(0.1, 0.9), st.floats(-0.15, 0.15),
+           st.floats(0, 2 * np.pi), st.floats(0.25, 4),
+           st.floats(-100, 100), st.floats(-100, 100))
+    @settings(max_examples=200, deadline=None)
+    def test_equivariance_under_similarity(self, cx, cy, phi, half_long,
+                                           ratio, tilt, alpha, s, tx, ty):
+        # an annotation with centre (cx, cy), long axis at angle phi and a
+        # short axis tilted off perpendicular by at most |cos| 0.15; the
+        # transform rotates by alpha, scales by s and translates by (tx, ty)
+        u = np.array([np.cos(phi), np.sin(phi)])
+        w = np.array([-np.sin(phi + tilt), np.cos(phi + tilt)])
+        c = np.array([cx, cy])
+        ann = RecistAnnotation(tuple(c + half_long * u),
+                               tuple(c - half_long * u),
+                               tuple(c + ratio * half_long * w),
+                               tuple(c - ratio * half_long * w))
+        t = affine_compose(affine_translation(tx, ty),
+                           affine_compose(affine_rotation(alpha),
+                                          affine_scaling(s)))
+        e = fit_ellipse(ann)
+        e_then = fit_ellipse(transform_annotation(ann, t))
+        center_mapped = np.array(e.center) @ t[:, :2].T + t[:, 2]
+        assert np.allclose(e_then.center, center_mapped, rtol=0, atol=1e-9)
+        assert abs(e_then.a - s * e.a) <= 1e-9 * s * e.a
+        assert abs(e_then.b - s * e.b) <= 1e-9 * s * e.b
+        turn = (e_then.theta - e.theta - alpha) % np.pi
+        assert min(turn, np.pi - turn) < 1e-9
 
 
 class TestRasterize:

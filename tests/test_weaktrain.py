@@ -144,6 +144,7 @@ class TestAugment:
             assert side % 4 == 0 and 24 <= side <= 48
             assert out.image.min() >= 0.0 and out.image.max() <= 1.0
             assert out.pseudo.shape == out.image.shape
+            assert out.gt_mask is None  # not warped: training never reads it
             assert (out.pseudo == FG).any()
             assert out.region.any()
             # ellipse center stays on the augmented grid
@@ -165,16 +166,6 @@ class TestAugment:
             assert 3.5 <= ratio <= 4.5
             checked += 1
         assert checked >= 5
-
-    def test_gt_follows_lesion(self):
-        s = tiny_dataset(1)[0]
-        rng = np.random.default_rng(7)
-        out, skipped = augment(s, rng, long_side=(32, 32))
-        assert not skipped
-        # warped gt overlaps the re-fitted ellipse substantially
-        emask = out.pseudo == FG
-        inter = (emask & out.gt_mask).sum()
-        assert inter / max(1, out.gt_mask.sum()) > 0.5
 
 
 class TestTraining:
@@ -206,7 +197,7 @@ class TestTraining:
         cfg = tiny_config(augment=True, long_side=(24, 40))
         p1, _ = train_schedule(ds, cfg)
         p2, _ = train_schedule(ds, cfg)
-        assert all(np.array_equal(p1[k], p2[k]) for k in p1)
+        assert np.array_equal(p1, p2)
 
     def test_training_reduces_loss(self):
         ds = tiny_dataset(n=6)
@@ -259,7 +250,7 @@ class TestTraining:
         pb, _ = train_schedule(ds, cfg2)
         # zero-weight stage 2 must follow the identical trajectory as
         # seg-only training (gradient contribution is exactly additive)
-        assert all(np.allclose(pa[k], pb[k], atol=1e-12) for k in pa)
+        assert np.allclose(pa, pb, atol=1e-12)
 
     @pytest.mark.parametrize("pad_mode", ["zero", "wrap"])
     @pytest.mark.parametrize("sa_enabled", [True, False])
@@ -291,7 +282,7 @@ class TestTraining:
                 dps[2] = dps[2] + cfg.rls_weight * r.grad
                 ref, state = adam_step(ref, backward(cache, dps), state,
                                        cfg.lr)
-        assert all(np.array_equal(params[k], ref[k]) for k in ref)
+        assert np.array_equal(params, ref)
 
     def test_epoch_means_count_steps_taken(self, monkeypatch):
         # a skipped augmentation takes no step, so it must not dilute the
@@ -346,7 +337,7 @@ class TestTraining:
         rec = history.records[0]
         assert rec.mean_seg_loss == sum(v for v, _ in seen) / 3
         assert rec.mean_rls_loss == sum(v or 0.0 for _, v in seen) / 3
-        assert all(np.all(np.isfinite(v)) for v in params.values())
+        assert np.all(np.isfinite(params))
 
     def test_empty_dataset(self):
         with pytest.raises(ValueError):
