@@ -232,7 +232,7 @@ def cmd_segment_cv(args) -> int:
     if warning:
         print("warning: evolution stopped early (degenerate region means)")
     print(f"wrote {args.out} ({int(mask.sum())} foreground pixels, "
-          f"{len(trace)} iterations)")
+          f"{len(trace) - 1} iterations)")
     return 0
 
 

@@ -8,11 +8,16 @@ with a smoothed (arctan) Heaviside. The length term uses central differences
 of H(phi) with periodic wrap. ``cv_energy`` returns the energy and, on
 request, its exact gradient from one pass over reusable scratch arrays; the
 solver evaluates each backtracking line-search candidate once, with its
-gradient, and the energy trace is non-increasing.
+gradient, and the energy trace is non-increasing. The solver's output is the
+mask {phi >= 0}, so the mask decides when it stops: after ``settle``
+consecutive accepted iterations in which no pixel changed sign (phi away
+from the contour keeps drifting long after the mask is fixed), or at the
+``iters`` cap.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,18 +40,23 @@ class CvConfig:
     # decrease the energy, so a generous default converges fastest
     step: float = 20.0
     iters: int = 500
-    tol: float = 1e-4
+    # stop once the mask has not changed for this many accepted iterations
+    settle: int = 50
 
     def __post_init__(self):
         for name, value in (("mu", self.mu), ("nu", self.nu)):
-            if not value >= 0:
-                raise ValueError(f"{name} must be non-negative, got {value}")
-        if self.lambda1 <= 0 or self.lambda2 <= 0:
-            raise ValueError("lambda1 and lambda2 must be positive")
-        if self.eps <= 0:
-            raise ValueError("heaviside eps must be positive")
-        if self.iters < 1:
-            raise ValueError(f"iters must be >= 1, got {self.iters}")
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{name} must be non-negative and finite, got {value}")
+        for name in ("lambda1", "lambda2", "eps", "step"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"{name} must be positive and finite, got {value}")
+        for name in ("iters", "settle"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def smooth_heaviside(z, eps: float = 1.0, out=None):
@@ -120,8 +130,12 @@ def cv_evolve(img: np.ndarray, init: np.ndarray, cfg: CvConfig = CvConfig()):
     """Evolve a level set from a binary initialization.
 
     Returns (mask, trace, warning) where mask = {phi >= 0}, trace is the
-    per-iteration energy (non-increasing within 1e-6 per step), and warning
-    is set when the means degenerate mid-run and the evolution stops early.
+    energy before the first and after each accepted iteration
+    (non-increasing within 1e-6 per step), and warning is set when the means
+    degenerate mid-run and the evolution stops early. The evolution also
+    stops after ``cfg.settle`` consecutive accepted iterations that leave
+    the mask unchanged, when no tried step decreases the energy, or after
+    ``cfg.iters`` iterations.
     """
     v = np.asarray(img, dtype=np.float64)
     m = np.asarray(init, dtype=bool)
@@ -135,7 +149,8 @@ def cv_evolve(img: np.ndarray, init: np.ndarray, cfg: CvConfig = CvConfig()):
     phi = distance_transform_edt(m) - distance_transform_edt(~m)
     cand, grad, g_new = (np.empty_like(phi) for _ in range(3))
     work = np.empty((_N_WORK,) + v.shape)
-    warning, trace = False, []
+    inside, spare = np.greater_equal(phi, 0.0), np.empty(v.shape, dtype=bool)
+    warning, trace, settled = False, [], 0
     try:
         energy = cv_energy(phi, v, cfg, grad, work)
         trace.append(energy)
@@ -150,11 +165,13 @@ def cv_evolve(img: np.ndarray, init: np.ndarray, cfg: CvConfig = CvConfig()):
                 step *= 0.5
             else:
                 break  # no descent possible at any tried step
-            diff = np.abs(np.subtract(cand, phi, out=work[0]), out=work[0])
-            delta = float(diff.mean())
+            np.greater_equal(cand, 0.0, out=spare)
+            moved = np.not_equal(spare, inside, out=inside).any()
+            settled = 0 if moved else settled + 1
+            inside, spare = spare, inside
             phi, cand, grad, g_new, energy = cand, phi, g_new, grad, e_new
             trace.append(energy)
-            if delta < cfg.tol:
+            if settled >= cfg.settle:
                 break
     except DegenerateRegionError:
         warning = True

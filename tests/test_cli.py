@@ -8,6 +8,7 @@ from weakseg.cli import DataError, cli_main, load_dataset, write_dataset
 from weakseg.imgcore import decode_pgm, encode_pgm
 from weakseg.losses import DegenerateRegionError
 from weakseg.model import ArchConfig, init_params, load_model, save_model
+from weakseg.recist import rasterize_ellipse
 from weakseg.synthgen import SynthConfig, gen_dataset
 
 
@@ -265,6 +266,28 @@ class TestSegmentCv:
         assert lines[0] == "iter,energy"
         energies = [float(l.split(",")[1]) for l in lines[1:]]
         assert all(b - a <= 1e-6 for a, b in zip(energies, energies[1:]))
+
+    @pytest.mark.parametrize("iters", ["3", "500"])
+    def test_reports_accepted_iterations(self, tmp_path, capsys, iters):
+        # the trace holds the initial energy plus one row per iteration; at
+        # --iters 3 the cap binds, at 500 the settle rule stops the solve
+        samples, _ = gen_dataset(SynthConfig(size=64, seed=4), 1)
+        img_file = tmp_path / "img.pgm"
+        img_file.write_bytes(encode_pgm(samples[0].image))
+        init_file = tmp_path / "init.pgm"
+        init_file.write_bytes(encode_pgm(rasterize_ellipse(
+            samples[0].ellipse, (64, 64)).astype(np.float64)))
+        trace = tmp_path / "trace.csv"
+        assert run("segment-cv", "--image", str(img_file), "--init",
+                   str(init_file), "--out", str(tmp_path / "m.pgm"),
+                   "--trace", str(trace), "--iters", iters) == 0
+        rows = len(trace.read_text().splitlines()) - 1
+        if iters == "3":
+            assert rows == 4
+        else:
+            assert rows - 1 < 500
+        assert capsys.readouterr().out.endswith(
+            f" {rows - 1} iterations)\n")
 
     def test_needs_init_or_ellipse(self, tmp_path):
         img_file = tmp_path / "img.pgm"

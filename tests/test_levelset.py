@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from weakseg.losses import (DegenerateRegionError, LossConfig,
 from scipy.ndimage import distance_transform_edt
 from weakseg.metrics import prf_dice
 from weakseg.recist import Ellipse, rasterize_ellipse
-from weakseg.synthgen import SynthConfig, gen_lesion
+from weakseg.synthgen import SynthConfig, gen_dataset, gen_lesion
 
 
 def two_phase_image():
@@ -111,9 +113,10 @@ class TestEnergyGradient:
             cv_energy(np.full_like(img, 1e9), img, CvConfig(eps=1e-6), grad=grad)
 
 
-# Reference: the solver as it was before the energy and gradient were fused,
-# kept verbatim (np.roll shifts, two evaluations per accepted step). The
-# fused solver must reproduce its masks, trace bytes and warnings exactly.
+# Reference: the solver as it was before the energy and gradient were fused
+# (np.roll shifts, two evaluations per accepted step), with the settle rule
+# as its stop. The fused solver must reproduce its masks, trace bytes and
+# warnings exactly.
 
 def _ref_weighted_means(img: np.ndarray, h: np.ndarray):
     w1 = float(h.sum())
@@ -184,6 +187,7 @@ def _ref_cv_evolve(img, init, cfg):
     phi = distance_transform_edt(m) - distance_transform_edt(~m)
     warning = False
     trace = []
+    settled = 0
     try:
         energy, grad = _ref_energy_and_grad(phi, v, cfg)
         trace.append(energy)
@@ -197,11 +201,14 @@ def _ref_cv_evolve(img, init, cfg):
                 step *= 0.5
             else:
                 break
-            delta = float(np.abs(cand - phi).mean())
+            if np.array_equal(cand >= 0.0, phi >= 0.0):
+                settled += 1
+            else:
+                settled = 0
             phi = cand
             energy, grad = _ref_energy_and_grad(phi, v, cfg)
             trace.append(energy)
-            if delta < cfg.tol:
+            if settled >= cfg.settle:
                 break
     except DegenerateRegionError:
         warning = True
@@ -224,7 +231,9 @@ class TestFusedSolverOracle:
         ((64, 64), {"nu": 0.5}, False),
         ((64, 64), {"mu": 0.0}, False),
         ((64, 64), {"step": 2000.0}, True),
-        ((24, 40), {}, True),
+        # the rule cannot fire here, so the run reaches the late iterations
+        # where the line search backtracks
+        ((24, 40), {"settle": 501}, True),
         ((40, 24), {"mu": 0.3, "nu": 0.2, "step": 300.0}, False),
     ])
     def test_bytes_equal_reference(self, monkeypatch, shape, kw, backtracks):
@@ -250,6 +259,83 @@ class TestFusedSolverOracle:
             assert len(calls) == len(trace)
 
 
+def noisy_disk():
+    """The acceptance suite's criterion 4 problem: a 64x64 noisy disk of
+    radius 20 from a radius-10 circle; (image, init, gt)."""
+    cfg = SynthConfig(size=64, radius_range=(20, 20),
+                      contrast_range=(0.5, 0.5), irregularity=0.0,
+                      noise_sigma=0.05, seed=5)
+    sample = gen_lesion(cfg, np.random.default_rng((5, 0)))
+    init = rasterize_ellipse(
+        Ellipse(sample.meta["center"], 10.0, 10.0, 0.0), (64, 64))
+    return sample.image, init, sample.gt_mask
+
+
+def synth_lesion_128():
+    """A default synthgen lesion at 128x128 from its fitted ellipse, as
+    segment-cv is run on the benchmark's inputs."""
+    samples, _ = gen_dataset(SynthConfig(size=128, seed=11), 1)
+    s = samples[0]
+    return s.image, rasterize_ellipse(s.ellipse, (128, 128)), s.gt_mask
+
+
+class TestSettle:
+    @staticmethod
+    def mask_after(img, init, cfg, n):
+        """The mask after exactly n accepted iterations (the rule cannot
+        fire when settle exceeds the cap)."""
+        if n == 0:
+            return init
+        return cv_evolve(img, init, replace(cfg, iters=n, settle=n + 1))[0]
+
+    @pytest.mark.parametrize("settle", [1, 7, 50])
+    def test_stops_once_settle_iterations_left_the_mask(self, settle):
+        img, init = TestFusedSolverOracle.lesion((24, 40))
+        cfg = CvConfig(settle=settle)
+        mask, trace, warning = cv_evolve(img, init, cfg)
+        n = len(trace) - 1
+        assert not warning and settle <= n < cfg.iters
+        # the last `settle` accepted iterations changed no pixel ...
+        for k in range(n - settle, n):
+            assert np.array_equal(self.mask_after(img, init, cfg, k), mask)
+        # ... and the one before them did, so the stop came no later than due
+        if n > settle:
+            before = self.mask_after(img, init, cfg, n - settle - 1)
+            assert not np.array_equal(before, mask)
+
+    @pytest.mark.parametrize("problem", [noisy_disk, synth_lesion_128])
+    def test_mask_equals_the_unsettled_run(self, problem):
+        img, init, _ = problem()
+        cfg = CvConfig(mu=0.1, iters=500)
+        mask, trace, _ = cv_evolve(img, init, cfg)
+        full, full_trace, _ = cv_evolve(img, init, replace(cfg, settle=501))
+        assert len(trace) < len(full_trace) == cfg.iters + 1
+        assert np.array_equal(mask, full)
+
+    def test_cap_binds_below_settle(self):
+        img, init, _ = noisy_disk()
+        _, trace, warning = cv_evolve(img, init, CvConfig(iters=10, settle=50))
+        assert not warning and len(trace) == 11
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("lambda1", float("nan")), ("lambda1", 0.0), ("lambda1", -1.0),
+        ("lambda2", float("inf")), ("lambda2", 0.0),
+        ("eps", float("nan")), ("eps", -0.5),
+        ("step", float("nan")), ("step", -1.0), ("step", 0.0),
+        ("step", float("inf")),
+        ("settle", 0), ("settle", -3), ("iters", 0),
+        ("mu", float("nan")), ("mu", float("inf")), ("nu", -1.0),
+        ("nu", float("inf")),
+    ])
+    def test_rejected_naming_field_and_value(self, field, value):
+        with pytest.raises(ValueError) as exc:
+            CvConfig(**{field: value})
+        assert str(exc.value).startswith(f"{field} must")
+        assert str(exc.value).endswith(f"got {value}")
+
+
 class TestEvolve:
     def test_fixed_point_on_exact_boundary(self):
         img, phase = two_phase_image()
@@ -259,28 +345,17 @@ class TestEvolve:
         assert np.array_equal(mask, phase)
 
     def test_noisy_disk_recovery(self):
-        cfg = SynthConfig(size=64, radius_range=(20, 20),
-                          contrast_range=(0.5, 0.5), irregularity=0.0,
-                          noise_sigma=0.05, seed=5)
-        sample = gen_lesion(cfg, np.random.default_rng((5, 0)))
-        init = rasterize_ellipse(
-            Ellipse(sample.meta["center"], 10.0, 10.0, 0.0), (64, 64))
-        mask, trace, warning = cv_evolve(sample.image, init,
+        img, init, gt = noisy_disk()
+        mask, trace, warning = cv_evolve(img, init,
                                          CvConfig(mu=0.1, iters=500))
         assert not warning
-        assert prf_dice(mask, sample.gt_mask).dice >= 0.98
+        assert prf_dice(mask, gt).dice >= 0.98
         assert np.all(np.diff(trace) <= 1e-6)
 
     def test_large_area_penalty_shrinks(self):
-        cfg = SynthConfig(size=64, radius_range=(20, 20),
-                          contrast_range=(0.5, 0.5), irregularity=0.0,
-                          noise_sigma=0.05, seed=5)
-        sample = gen_lesion(cfg, np.random.default_rng((5, 0)))
-        init = rasterize_ellipse(
-            Ellipse(sample.meta["center"], 10.0, 10.0, 0.0), (64, 64))
-        free, _, _ = cv_evolve(sample.image, init,
-                               CvConfig(mu=0.1, nu=0.0, iters=200))
-        shrunk, _, _ = cv_evolve(sample.image, init,
+        img, init, _ = noisy_disk()
+        free, _, _ = cv_evolve(img, init, CvConfig(mu=0.1, nu=0.0, iters=200))
+        shrunk, _, _ = cv_evolve(img, init,
                                  CvConfig(mu=0.1, nu=10.0, iters=200))
         assert shrunk.sum() <= init.sum()
         assert shrunk.sum() < free.sum()
