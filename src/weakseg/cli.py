@@ -269,16 +269,14 @@ def cmd_gradcheck(args) -> int:
         r = iou_loss(p, g)
         return r.value, r.grad
 
-    frozen = losses.region_means(p0, img, region)
-
-    def rls_frozen(p):
-        r = rls_loss(p, img, region, cfg, means=frozen)
+    def rls_fn(p):
+        r = rls_loss(p, img, region, cfg)
         return r.value, r.grad
 
     errs = {
         "bce": finite_diff_check(bce_fn, p0),
         "iou": finite_diff_check(iou_fn, p0),
-        "rls(frozen means)": finite_diff_check(rls_frozen, p0),
+        "rls": finite_diff_check(rls_fn, p0),
         "model+losses": model_gradcheck(args.seed),
     }
     bad = False

@@ -8,6 +8,7 @@ loss values nor to gradients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,11 @@ class LossConfig:
     clamp_eps: float = 1e-7
 
     def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("lambda1 and lambda2 must be non-negative")
+        for name in ("lambda1", "lambda2"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{name} must be non-negative and finite, got {value}")
         if not (0.0 < self.clamp_eps < 0.5):
             raise ValueError("clamp_eps must lie in (0, 0.5)")
 
@@ -108,20 +112,17 @@ def region_means(p: np.ndarray, img: np.ndarray, region: np.ndarray) -> RegionMe
 
 
 def rls_loss(p: np.ndarray, img: np.ndarray, region: np.ndarray,
-             cfg: LossConfig = LossConfig(),
-             means: RegionMeans | None = None) -> LossValueGrad:
+             cfg: LossConfig = LossConfig()) -> LossValueGrad:
     """Regional level set loss over the constrained region:
 
         (1/|R|) sum_R [ l1 * p * (v - c1)^2 + l2 * (1 - p) * (v - c2)^2 ]
 
-    with c1, c2 the prediction-weighted region means, or the given ``means``
-    (frozen: region_means is then skipped). The gradient treats c1, c2 as
-    constants, which is exact for the region means: they minimise their
-    weighted sums, so sum_R p (v - c1) = 0 = sum_R (1 - p) (v - c2).
+    with c1, c2 the prediction-weighted region means. The gradient treats
+    c1, c2 as constants, which is exact for the region means: they minimise
+    their weighted sums, so sum_R p (v - c1) = 0 = sum_R (1 - p) (v - c2).
     """
     p, v, r = _region_inputs(p, img, region)
-    if means is None:
-        means = region_means(p, v, r)
+    means = region_means(p, v, r)
     c1, c2 = means.c1, means.c2
     n = int(r.sum())
     d1 = (v - c1) ** 2

@@ -243,8 +243,7 @@ def init_params(seed: int, cfg: ArchConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # scale attention
 
-def scale_attention_fuse(f1: np.ndarray, f2: np.ndarray, params: dict,
-                         prefix: tuple[str, str] = ("sa1", "sa2")):
+def scale_attention_fuse(f1: np.ndarray, f2: np.ndarray, params: dict):
     """SE-style gating of two same-shape feature maps.
 
     Per scale: a = sigmoid(W2 @ relu(W1 @ gap(F) + b1) + b2) per channel;
@@ -255,7 +254,7 @@ def scale_attention_fuse(f1: np.ndarray, f2: np.ndarray, params: dict,
         raise ValueError(f"scale shapes differ: {f1.shape} vs {f2.shape}")
     feats = (f1, f2)
     zs, pre1s, hs, gates = [], [], [], []
-    for f, pfx in zip(feats, prefix):
+    for f, pfx in zip(feats, ("sa1", "sa2")):
         z = f.mean(axis=(1, 2))
         pre1 = params[f"{pfx}_w1"] @ z + params[f"{pfx}_b1"]
         hdd = relu(pre1)
@@ -268,14 +267,14 @@ def scale_attention_fuse(f1: np.ndarray, f2: np.ndarray, params: dict,
     w1n = gates[0] / total
     w2n = gates[1] / total
     fused = w1n[:, None, None] * f1 + w2n[:, None, None] * f2
-    cache = (feats, zs, pre1s, hs, gates, (w1n, w2n), prefix)
+    cache = (feats, zs, pre1s, hs, gates, (w1n, w2n))
     return fused, cache
 
 
 def scale_attention_backward(dout: np.ndarray, cache, params: dict,
                              grads: dict):
     """Returns (df1, df2); writes the gate gradients into the views grads."""
-    feats, zs, pre1s, hs, gates, (w1n, w2n), prefix = cache
+    feats, zs, pre1s, hs, gates, (w1n, w2n) = cache
     f1, f2 = feats
     npix = f1.shape[1] * f1.shape[2]
     df = [w1n[:, None, None] * dout, w2n[:, None, None] * dout]
@@ -283,8 +282,7 @@ def scale_attention_backward(dout: np.ndarray, cache, params: dict,
     total = gates[0] + gates[1]
     da = [(dwn[0] - dwn[1]) * gates[1] / total ** 2,
           (dwn[1] - dwn[0]) * gates[0] / total ** 2]
-    for s in (0, 1):
-        pfx = prefix[s]
+    for s, pfx in enumerate(("sa1", "sa2")):
         dpre2 = da[s] * gates[s] * (1.0 - gates[s])
         grads[f"{pfx}_w2"][...] = np.outer(dpre2, hs[s])
         grads[f"{pfx}_b2"][...] = dpre2

@@ -1,7 +1,10 @@
 """Weakly-supervised training: three-scale pseudo masks, augmentation, the
-two-stage loss schedule (segmentation losses first, regional level set loss
-added later at weight ``TrainConfig.rls_weight``), and the multi-round
-pseudo-mask update loop.
+two-stage loss schedule, and the multi-round pseudo-mask update loop.
+
+The stage is a function of the epoch: epochs before
+``TrainConfig.stage2_start`` train with the segmentation losses alone, later
+ones add the regional level set loss at weight ``TrainConfig.rls_weight``
+(unless ``rls_region`` is "off"), on the same optimizer state.
 """
 
 from __future__ import annotations
@@ -9,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
@@ -45,8 +49,18 @@ class TrainConfig:
             raise ValueError("need 0 < stage2_start <= epochs")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        if not (math.isfinite(self.rls_weight) and self.rls_weight >= 0):
+            raise ValueError(f"rls_weight must be non-negative and finite, "
+                             f"got {self.rls_weight}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if len(self.long_side) != 2:
             raise ValueError("long_side must be a pair [lo, hi]")
+        if self.long_side[0] < 4:
+            raise ValueError(f"long_side must start at 4 or more, got "
+                             f"{list(self.long_side)}")
         if self.long_side[0] > self.long_side[1]:
             raise ValueError("long-side range must satisfy lo <= hi")
         if self.rls_region not in ("constrained", "whole_image", "off"):
@@ -147,18 +161,16 @@ def make_pseudo_masks(pseudo: np.ndarray, dims_list):
     return tuple(out)
 
 
-def update_pseudo_mask(p: np.ndarray, emask: np.ndarray,
-                       threshold: float = 0.5):
+def update_pseudo_mask(p: np.ndarray, emask: np.ndarray):
     """Pseudo-mask update from a prediction and the fitted-ellipse mask:
     foreground = P AND e, ignored = symmetric difference, background = rest,
-    with P the thresholded prediction. Returns (tri-mask, retain_previous)."""
-    if not (0.0 < threshold < 1.0):
-        raise ValueError("threshold must lie in (0, 1)")
+    with P the prediction thresholded at 0.5. Returns (tri-mask,
+    retain_previous)."""
     p = np.asarray(p, dtype=np.float64)
     e = np.asarray(emask, dtype=bool)
     if p.shape != e.shape:
         raise ValueError("prediction and ellipse mask shapes must match")
-    pred = p >= threshold
+    pred = p >= 0.5
     fg = pred & e
     ign = (pred | e) & ~fg
     out = np.full(p.shape, BG, dtype=np.int8)
@@ -174,16 +186,16 @@ def _round4(x: float) -> int:
     return max(4, int(round(x / 4.0)) * 4)
 
 
-def augment(sample: Sample, rng: np.random.Generator,
-            long_side=(32, 64), max_retries: int = 10):
+def augment(sample: Sample, rng: np.random.Generator, long_side=(32, 64)):
     """One random augmentation: affine (scale, rotation, resize so the long
     side lands in the configured range, translation keeping the lesion
     on-grid), brightness/contrast jitter, Gaussian blur. The ellipse, pseudo
     mask and constrained region are recomputed from the mapped annotation;
     the gt mask is not warped (training never reads it), so sample' has
-    none. Returns (sample', skipped)."""
+    none. After 10 failed draws the sample is returned unchanged. Returns
+    (sample', skipped)."""
     h, w = sample.image.shape
-    for _ in range(max_retries):
+    for _ in range(10):
         scale = rng.uniform(0.8, 1.2)
         theta = rng.uniform(-np.pi / 6.0, np.pi / 6.0)
         target_long = rng.uniform(*long_side)
@@ -267,7 +279,7 @@ def _sample_losses(sample: Sample, params, cfg: TrainConfig, with_rls: bool,
     seg_val, seg_grads = seg_loss((p1, p2, p3), (g1, g2, g3),
                                   cfg.loss.clamp_eps)
     rls_val = 0.0
-    if with_rls and cfg.rls_region != "off":
+    if with_rls:
         region = sample.region if cfg.rls_region == "constrained" \
             else np.ones_like(sample.region, dtype=bool)
         try:
@@ -281,30 +293,24 @@ def _sample_losses(sample: Sample, params, cfg: TrainConfig, with_rls: bool,
     return seg_val, rls_val, grads
 
 
-def train_stage(dataset, params, cfg: TrainConfig, stage: str,
-                state=None, rng=None, lr_epoch_offset: int = 0,
-                history: TrainHistory | None = None,
-                epochs: int | None = None):
-    """Train for a block of epochs with either the segmentation losses alone
-    (stage='seg_only') or with the regional level set loss added at weight
-    cfg.rls_weight (stage='seg_plus_rls'). A step whose RLS region is
-    degenerate drops its RLS term (counted 0 in the epoch mean) and counts
-    in history.rls_skips."""
+def train_schedule(dataset, cfg: TrainConfig):
+    """One full round from the initial parameters, on one Adam state and one
+    RNG. The stage is a function of the epoch: an epoch before
+    cfg.stage2_start trains with the segmentation losses alone
+    ('seg_only'); a later one adds the regional level set loss at weight
+    cfg.rls_weight ('seg_plus_rls'), unless cfg.rls_region is 'off'. A step
+    whose RLS region is degenerate drops its RLS term (counted 0 in the
+    epoch mean) and counts in history.rls_skips. Returns (params,
+    history)."""
     if not dataset:
         raise ValueError("dataset is empty")
-    if stage not in ("seg_only", "seg_plus_rls"):
-        raise ValueError(f"unknown stage {stage!r}")
-    if state is None:
-        state = adam_init(params)
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    if history is None:
-        history = TrainHistory()
-    with_rls = stage == "seg_plus_rls"
-    n_epochs = cfg.epochs if epochs is None else epochs
+    params = init_params(cfg.seed, cfg.arch)
+    state = adam_init(params)
+    rng = np.random.default_rng((cfg.seed, 17))
     workspace = new_workspace()
-    for ep in range(n_epochs):
-        epoch = lr_epoch_offset + ep
+    history = TrainHistory()
+    for epoch in range(cfg.epochs):
+        with_rls = epoch >= cfg.stage2_start and cfg.rls_region != "off"
         lr = cfg.lr * (0.1 ** sum(epoch >= d for d in cfg.decay_epochs))
         order = rng.permutation(len(dataset))
         seg_sum = 0.0
@@ -332,28 +338,9 @@ def train_stage(dataset, params, cfg: TrainConfig, stage: str,
         # an epoch whose samples were all skipped logs zero means
         steps = max(steps, 1)
         history.records.append(EpochRecord(
-            epoch=epoch, stage=stage, lr=lr,
-            mean_seg_loss=seg_sum / steps,
+            epoch=epoch, stage="seg_plus_rls" if with_rls else "seg_only",
+            lr=lr, mean_seg_loss=seg_sum / steps,
             mean_rls_loss=rls_sum / steps))
-    return params, state, history
-
-
-def train_schedule(dataset, cfg: TrainConfig):
-    """One full round from the initial parameters: stage 1 (seg only) for
-    stage2_start epochs, then stage 2 with the RLS term for the remainder."""
-    params = init_params(cfg.seed, cfg.arch)
-    rng = np.random.default_rng((cfg.seed, 17))
-    state = adam_init(params)
-    history = TrainHistory()
-    params, state, history = train_stage(
-        dataset, params, cfg, "seg_only", state=state, rng=rng,
-        history=history, epochs=cfg.stage2_start)
-    if cfg.epochs > cfg.stage2_start:
-        stage2 = "seg_plus_rls" if cfg.rls_region != "off" else "seg_only"
-        params, state, history = train_stage(
-            dataset, params, cfg, stage2, state=state, rng=rng,
-            lr_epoch_offset=cfg.stage2_start, history=history,
-            epochs=cfg.epochs - cfg.stage2_start)
     return params, history
 
 

@@ -380,6 +380,7 @@ class TestGradcheckAndUsage:
         ('{"arch": 4}', "'arch' must be a JSON object"),
         ('{"loss": {"rls_weight": 5}}', "'loss.rls_weight'"),
         ('{"batch": 4}', "'batch'"),
+        ('{"lr": NaN}', "lr must be positive and finite, got nan"),
     ])
     def test_bad_config_is_usage_error(self, dataset_dir, tmp_path, capsys,
                                        text, named):

@@ -147,6 +147,8 @@ class TestRls:
         assert base.value == pert.value
         assert np.array_equal(base.grad, pert.grad)
         assert np.all(base.grad[~region] == 0.0)
+        with pytest.raises(ValueError):
+            rls_loss(p[:5], img, region)
 
     def test_swap_symmetry(self):
         rng = np.random.default_rng(4)
@@ -179,27 +181,6 @@ class TestRls:
             return val, grad
 
         assert finite_diff_check(fn, p0) < 1e-4
-
-    def test_given_means_are_frozen(self):
-        # means= replaces the region means of p; checked against the direct
-        # formula at a p other than the one the means came from
-        rng = np.random.default_rng(8)
-        img = rng.uniform(0, 1, (6, 6))
-        region = rng.uniform(0, 1, (6, 6)) < 0.7
-        frozen = region_means(rng.uniform(0.05, 0.95, (6, 6)), img, region)
-        p = rng.uniform(0.05, 0.95, (6, 6))
-        cfg = LossConfig(lambda1=2.0, lambda2=0.5)
-        d1 = (img - frozen.c1) ** 2
-        d2 = (img - frozen.c2) ** 2
-        n = int(region.sum())
-        want = (2.0 * p * d1 + 0.5 * (1 - p) * d2)[region].sum() / n
-        out = rls_loss(p, img, region, cfg, means=frozen)
-        assert abs(out.value - want) < 1e-14
-        assert np.allclose(out.grad[region],
-                           (2.0 * d1 - 0.5 * d2)[region] / n, atol=1e-15)
-        assert np.all(out.grad[~region] == 0.0)
-        with pytest.raises(ValueError):
-            rls_loss(p[:5], img, region, cfg, means=frozen)
 
     def test_finite_differences_through_means(self):
         # the region means are weighted least-squares minimizers, so

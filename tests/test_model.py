@@ -220,6 +220,23 @@ class TestBackward:
         assert dx.shape == x.shape and skipped is None
         assert np.array_equal(dw, dw0) and np.array_equal(db, db0)
 
+    @pytest.mark.parametrize("pad_mode", ["zero", "wrap"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("h, w", [(8, 12), (9, 7)])
+    def test_input_grad_is_the_adjoint(self, pad_mode, stride, h, w):
+        # conv2d(x) - b is linear in x, so its input gradient is the adjoint:
+        # <conv2d(x) - b, dout> == <x, dx> for every x and dout
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(2, h, w))
+        wt = rng.normal(size=(3, 2, 3, 3))
+        b = rng.normal(size=3)
+        out, cache = conv2d(x, wt, b, stride, pad_mode)
+        dout = rng.normal(size=out.shape)
+        dx, _, _ = conv2d_backward(dout, cache)
+        lin = out - b[:, None, None]
+        scale = np.vdot(np.abs(lin), np.abs(dout))
+        assert abs(np.vdot(lin, dout) - np.vdot(x, dx)) <= 1e-12 * scale
+
     def test_whole_model_gradcheck(self):
         assert model_gradcheck(0) < 1e-3
 

@@ -12,8 +12,7 @@ from weakseg.model import ArchConfig, adam_init, adam_step, backward, \
 from weakseg.synthgen import SynthConfig, gen_dataset
 from weakseg.weaktrain import (TrainConfig, augment, make_pseudo_masks,
                                predict, train_config_from_json, train_rounds,
-                               train_schedule, train_stage,
-                               update_pseudo_mask)
+                               train_schedule, update_pseudo_mask)
 
 
 def tiny_dataset(n=4, size=32, seed=11):
@@ -44,15 +43,41 @@ class TestConfig:
         cfg = train_config_from_json(
             '{"epochs": 6, "stage2_start": 3, "decay_epochs": [4, 5],'
             ' "rls_region": "whole_image", "arch": {"channels": 4},'
-            ' "long_side": [32, 48]}')
+            ' "long_side": [4, 48], "rls_weight": 0}')
         assert cfg.epochs == 6
         assert cfg.decay_epochs == (4, 5)
         assert cfg.rls_region == "whole_image"
         assert cfg.arch.channels == 4
-        assert cfg.long_side == (32, 48)
+        assert cfg.long_side == (4, 48)
+        assert cfg.rls_weight == 0
 
     def test_from_json_defaults(self):
         assert train_config_from_json("{}") == TrainConfig()
+
+    @pytest.mark.parametrize("text, shown", [
+        ('{"lr": NaN}', "lr must be positive and finite, got nan"),
+        ('{"lr": Infinity}', "lr must be positive and finite, got inf"),
+        ('{"lr": -1.0}', "lr must be positive and finite, got -1.0"),
+        ('{"lr": 0}', "lr must be positive and finite, got 0"),
+        ('{"rls_weight": NaN}', "rls_weight must be non-negative and finite, "
+                                "got nan"),
+        ('{"rls_weight": -5.0}', "rls_weight must be non-negative and "
+                                 "finite, got -5.0"),
+        ('{"seed": -1}', "seed must be >= 0, got -1"),
+        ('{"long_side": [0, 0]}', "long_side must start at 4 or more, got "
+                                  "[0, 0]"),
+        ('{"long_side": [3, 8]}', "long_side must start at 4 or more, got "
+                                  "[3, 8]"),
+        ('{"loss": {"lambda1": NaN}}', "lambda1 must be non-negative and "
+                                       "finite, got nan"),
+        ('{"loss": {"lambda2": -Infinity}}', "lambda2 must be non-negative "
+                                             "and finite, got -inf"),
+    ])
+    def test_from_json_rejects_bad_values(self, text, shown):
+        # json reads NaN and Infinity as floats
+        with pytest.raises(ValueError) as err:
+            train_config_from_json(text)
+        assert str(err.value) == shown
 
 
 class TestPseudoMasks:
@@ -117,11 +142,6 @@ class TestPseudoMasks:
         assert np.array_equal(fg, pred & e)
         assert np.array_equal(ign, pred ^ e)
         assert retain == (not fg.any())
-
-    def test_update_threshold_validation(self):
-        with pytest.raises(ValueError):
-            update_pseudo_mask(np.zeros((2, 2)), np.ones((2, 2), bool),
-                               threshold=0.0)
 
 
 class TestAugment:
@@ -213,8 +233,7 @@ class TestTraining:
                                      contrast_range=(0.5, 0.5),
                                      noise_sigma=0.01, seed=3), 1)[0]
         cfg = tiny_config(epochs=200, stage2_start=200, lr=0.005)
-        params = init_params(cfg.seed, cfg.arch)
-        _, _, history = train_stage(ds, params, cfg, "seg_only")
+        _, history = train_schedule(ds, cfg)
         losses = [r.mean_seg_loss for r in history.records]
         assert losses[-1] <= 0.5 * losses[0]
 
@@ -255,20 +274,20 @@ class TestTraining:
     @pytest.mark.parametrize("pad_mode", ["zero", "wrap"])
     @pytest.mark.parametrize("sa_enabled", [True, False])
     def test_workspace_matches_fresh_buffers(self, pad_mode, sa_enabled):
-        # train_stage reuses one conv workspace across steps; a loop over the
-        # model API with fresh buffers must give byte-equal parameters.
+        # train_schedule reuses one conv workspace across steps; a loop over
+        # the model API with fresh buffers must give byte-equal parameters.
         # Augmentation varies the input sides, so the buffers grow and shrink.
+        # Epoch 0 is seg-only, epoch 1 adds the RLS term.
         ds = tiny_dataset(n=3)
         cfg = tiny_config(augment=True, long_side=(24, 40), lr=0.01,
                           arch=ArchConfig(channels=3, sa_enabled=sa_enabled,
                                           pad_mode=pad_mode))
-        params, _, _ = train_stage(ds, init_params(0, cfg.arch), cfg,
-                                   "seg_plus_rls", epochs=2)
+        params, _ = train_schedule(ds, cfg)
 
         ref = init_params(0, cfg.arch)
         state = adam_init(ref)
-        rng = np.random.default_rng(cfg.seed)
-        for _ in range(2):
+        rng = np.random.default_rng((cfg.seed, 17))
+        for epoch in range(2):
             for idx in rng.permutation(len(ds)):
                 s, skipped = augment(ds[idx], rng, cfg.long_side)
                 if skipped:
@@ -278,15 +297,16 @@ class TestTraining:
                 masks = make_pseudo_masks(s.pseudo,
                                           [p.shape for p in (p1, p2, p3)])
                 _, dps = seg_loss((p1, p2, p3), masks, cfg.loss.clamp_eps)
-                r = rls_loss(p3, s.image, s.region, cfg.loss)
-                dps[2] = dps[2] + cfg.rls_weight * r.grad
+                if epoch >= cfg.stage2_start:
+                    r = rls_loss(p3, s.image, s.region, cfg.loss)
+                    dps[2] = dps[2] + cfg.rls_weight * r.grad
                 ref, state = adam_step(ref, backward(cache, dps), state,
                                        cfg.lr)
         assert np.array_equal(params, ref)
 
     def test_epoch_means_count_steps_taken(self, monkeypatch):
         # a skipped augmentation takes no step, so it must not dilute the
-        # logged means
+        # logged means; epoch 0 is seg-only, epoch 1 adds the RLS term
         ds = tiny_dataset(n=3)
         real_augment, real_losses = weaktrain.augment, weaktrain._sample_losses
         seen = []
@@ -304,12 +324,13 @@ class TestTraining:
         monkeypatch.setattr(weaktrain, "augment", skip_first)
         monkeypatch.setattr(weaktrain, "_sample_losses", recording)
         cfg = tiny_config(augment=True, long_side=(24, 40))
-        _, _, history = train_stage(ds, init_params(0, cfg.arch), cfg,
-                                    "seg_plus_rls", epochs=1)
-        assert 0 < len(seen) < len(ds)
-        rec = history.records[0]
-        assert rec.mean_seg_loss == sum(v for v, _ in seen) / len(seen)
-        assert rec.mean_rls_loss == sum(v for _, v in seen) / len(seen)
+        _, history = train_schedule(ds, cfg)
+        assert len(seen) == 2 * (len(ds) - 1)
+        for rec, steps in zip(history.records, (seen[:2], seen[2:])):
+            assert rec.mean_seg_loss == sum(v for v, _ in steps) / 2
+            assert rec.mean_rls_loss == sum(v for _, v in steps) / 2
+        assert history.records[0].mean_rls_loss == 0.0
+        assert history.records[1].mean_rls_loss > 0.0
 
     def test_degenerate_rls_region_is_counted(self, monkeypatch):
         # the step keeps its segmentation loss and logs an RLS value of 0
@@ -329,14 +350,14 @@ class TestTraining:
 
         monkeypatch.setattr(weaktrain, "rls_loss", degenerate_for_first)
         monkeypatch.setattr(weaktrain, "_sample_losses", recording)
-        cfg = tiny_config()
-        params, _, history = train_stage(ds, init_params(0, cfg.arch), cfg,
-                                         "seg_plus_rls", epochs=1)
+        cfg = tiny_config()  # epoch 0 seg-only, epoch 1 with the RLS term
+        params, history = train_schedule(ds, cfg)
         assert history.rls_skips == 1
-        assert [v for _, v in seen].count(None) == 1
-        rec = history.records[0]
-        assert rec.mean_seg_loss == sum(v for v, _ in seen) / 3
-        assert rec.mean_rls_loss == sum(v or 0.0 for _, v in seen) / 3
+        stage2 = seen[len(ds):]
+        assert [v for _, v in stage2].count(None) == 1
+        rec = history.records[1]
+        assert rec.mean_seg_loss == sum(v for v, _ in stage2) / 3
+        assert rec.mean_rls_loss == sum(v or 0.0 for _, v in stage2) / 3
         assert np.all(np.isfinite(params))
 
     def test_empty_dataset(self):
