@@ -16,9 +16,8 @@ included; ``backward`` returns one gradient vector of the same layout, which
 (training, pseudo-mask updates, each ``eval --model`` worker) lends
 ``forward`` one reusable ``ConvWorkspace`` per conv layer
 (``new_workspace``), which then holds every large temporary: padded inputs,
-im2col matrices, pre-activations, activations and upsampled inputs. The
-cache's arrays are views of it, valid until the next ``forward`` with that
-workspace.
+im2col matrices, activations and upsampled inputs. The cache's arrays are
+views of it, valid until the next ``forward`` with that workspace.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ class ArchConfig:
 
     def __post_init__(self):
         if self.channels < 1:
-            raise ValueError("channels must be >= 1")
+            raise ValueError(f"channels must be >= 1, got {self.channels}")
         if self.pad_mode not in ("zero", "wrap"):
             raise ValueError(f"unknown pad_mode {self.pad_mode!r}")
 
@@ -55,11 +54,11 @@ class AdamState:
 
 class ConvWorkspace:
     """Reusable buffers of one conv layer. Forward: the padded input ``xp``,
-    the im2col matrix ``col``, the conv output ``out``, its relu ``act`` and
-    the upsampled input ``up`` of a decoder layer. Backward: the column
-    gradient ``dcol`` and the padded input gradient ``dxp``. Each kind is one
-    flat array, grown when a call needs more and viewed at the call's shape,
-    so inputs of varying size reuse it too."""
+    the im2col matrix ``col``, the conv output ``out`` (which ``forward``
+    relus in place) and the upsampled input ``up`` of a decoder layer.
+    Backward: the column gradient ``dcol`` and the padded input gradient
+    ``dxp``. Each kind is one flat array, grown when a call needs more and
+    viewed at the call's shape, so inputs of varying size reuse it too."""
 
     def __init__(self):
         self._flat = {}
@@ -305,10 +304,10 @@ def forward(img: np.ndarray, params: np.ndarray, cfg: ArchConfig,
     what backward() needs, params included.
 
     ``workspace`` (from new_workspace) lends every conv layer its reusable
-    buffers: the im2col matrices and also the pre-activations, activations
-    and upsampled inputs in the cache are views of it, valid only until the
-    next forward with that same workspace (p1, p2 and p3 are fresh arrays).
-    Without one every buffer is fresh, as concurrent callers need."""
+    buffers: the im2col matrices and also the activations and upsampled
+    inputs in the cache are views of it, valid only until the next forward
+    with that same workspace (p1, p2 and p3 are fresh arrays). Without one
+    every buffer is fresh, as concurrent callers need."""
     img = np.asarray(img, dtype=np.float64)
     h, w = img.shape
     if h % 4 or w % 4:
@@ -318,9 +317,9 @@ def forward(img: np.ndarray, params: np.ndarray, cfg: ArchConfig,
     pv = param_views(params, cfg)
 
     def conv_relu(x, name, stride):
-        pre, c = conv2d(x, pv[name + "_w"], pv[name + "_b"], stride, pm,
+        out, c = conv2d(x, pv[name + "_w"], pv[name + "_b"], stride, pm,
                         ws[name])
-        return pre, c, relu(pre, ws[name].buffer("act", pre.shape))
+        return c, relu(out, out)
 
     def up2_cat(d, p, name):
         # up2(concatenate([d, p[None]])) written into the layer's up buffer
@@ -330,25 +329,25 @@ def forward(img: np.ndarray, params: np.ndarray, cfg: ArchConfig,
         up2(p[None], x[c:])
         return x
 
-    pre0, c0, e0 = conv_relu(img[None], "enc0", 2)
-    pre1, c1, f1 = conv_relu(e0, "enc1", 1)
-    pre2, c2, e2 = conv_relu(f1, "enc2", 2)
-    pre3, c3, f2 = conv_relu(e2, "enc3", 1)
+    c0, e0 = conv_relu(img[None], "enc0", 2)
+    c1, f1 = conv_relu(e0, "enc1", 1)
+    c2, e2 = conv_relu(f1, "enc2", 2)
+    c3, f2 = conv_relu(e2, "enc3", 1)
     u2 = up2(f2, ws["dec0"].buffer("up", f1.shape))
     if cfg.sa_enabled:
         fused, sa_cache = scale_attention_fuse(f1, u2, pv)
     else:
         fused, sa_cache = 0.5 * (f1 + u2), None
-    pre4, c4, d1 = conv_relu(fused, "dec0", 2)
+    c4, d1 = conv_relu(fused, "dec0", 2)
     p1 = sigmoid(conv1x1(d1, pv["head1_w"], pv["head1_b"]))
-    pre5, c5, d2 = conv_relu(up2_cat(d1, p1, "dec1"), "dec1", 1)
+    c5, d2 = conv_relu(up2_cat(d1, p1, "dec1"), "dec1", 1)
     p2 = sigmoid(conv1x1(d2, pv["head2_w"], pv["head2_b"]))
-    pre6, c6, d3 = conv_relu(up2_cat(d2, p2, "dec2"), "dec2", 1)
+    c6, d3 = conv_relu(up2_cat(d2, p2, "dec2"), "dec2", 1)
     p3 = sigmoid(conv1x1(d3, pv["head3_w"], pv["head3_b"]))
     cache = dict(cfg=cfg, params=params, views=pv,
                  convs=(c0, c1, c2, c3, c4, c5, c6),
-                 pres=(pre0, pre1, pre2, pre3, pre4, pre5, pre6),
-                 sa_cache=sa_cache, d=(d1, d2, d3), p=(p1, p2, p3))
+                 acts=(e0, f1, e2, f2, d1, d2, d3), sa_cache=sa_cache,
+                 p=(p1, p2, p3))
     return p1, p2, p3, cache
 
 
@@ -364,8 +363,8 @@ def backward(cache, dps) -> np.ndarray:
     gradient vector, laid out as the parameter vector."""
     cfg = cache["cfg"]
     c0, c1, c2, c3, c4, c5, c6 = cache["convs"]
-    pre0, pre1, pre2, pre3, pre4, pre5, pre6 = cache["pres"]
-    d1, d2, d3 = cache["d"]
+    # relu(x) > 0 exactly where x > 0, so the activations give the masks
+    e0, f1, e2, f2, d1, d2, d3 = cache["acts"]
     p1, p2, p3 = cache["p"]
     dp1, dp2, dp3 = [np.asarray(d, dtype=np.float64) for d in dps]
     for dp, p in ((dp1, p1), (dp2, p2), (dp3, p3)):
@@ -382,13 +381,13 @@ def backward(cache, dps) -> np.ndarray:
 
     # each decoder input's last channel is the previous head's map
     dd3 = _head_backward(dp3, p3, d3, "head3", params, grads)
-    dcat2 = up2_backward(conv_backward("dec2", dd3 * (pre6 > 0), c6))
+    dcat2 = up2_backward(conv_backward("dec2", dd3 * (d3 > 0), c6))
     dd2 = dcat2[:-1] + _head_backward(dp2 + dcat2[-1], p2, d2, "head2",
                                       params, grads)
-    dcat1 = up2_backward(conv_backward("dec1", dd2 * (pre5 > 0), c5))
+    dcat1 = up2_backward(conv_backward("dec1", dd2 * (d2 > 0), c5))
     dd1 = dcat1[:-1] + _head_backward(dp1 + dcat1[-1], p1, d1, "head1",
                                       params, grads)
-    dfused = conv_backward("dec0", dd1 * (pre4 > 0), c4)
+    dfused = conv_backward("dec0", dd1 * (d1 > 0), c4)
 
     if cfg.sa_enabled:
         df1, du2 = scale_attention_backward(dfused, cache["sa_cache"], params,
@@ -398,10 +397,10 @@ def backward(cache, dps) -> np.ndarray:
         du2 = 0.5 * dfused
     df2 = up2_backward(du2)
 
-    de2 = conv_backward("enc3", df2 * (pre3 > 0), c3)
-    df1 = df1 + conv_backward("enc2", de2 * (pre2 > 0), c2)
-    de0 = conv_backward("enc1", df1 * (pre1 > 0), c1)
-    conv_backward("enc0", de0 * (pre0 > 0), c0, input_grad=False)
+    de2 = conv_backward("enc3", df2 * (f2 > 0), c3)
+    df1 = df1 + conv_backward("enc2", de2 * (e2 > 0), c2)
+    de0 = conv_backward("enc1", df1 * (f1 > 0), c1)
+    conv_backward("enc0", de0 * (e0 > 0), c0, input_grad=False)
     return gvec
 
 

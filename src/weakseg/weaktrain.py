@@ -46,9 +46,15 @@ class TrainConfig:
 
     def __post_init__(self):
         if not (0 < self.stage2_start <= self.epochs):
-            raise ValueError("need 0 < stage2_start <= epochs")
+            raise ValueError(f"need 0 < stage2_start <= epochs, got "
+                             f"stage2_start {self.stage2_start} and epochs "
+                             f"{self.epochs}")
+        d = self.decay_epochs
+        if any(x < 1 for x in d) or any(x >= y for x, y in zip(d, d[1:])):
+            raise ValueError(f"decay_epochs must be strictly increasing "
+                             f"epochs >= 1, got {list(d)}")
         if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
+            raise ValueError(f"rounds must be >= 1, got {self.rounds}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if not (math.isfinite(self.rls_weight) and self.rls_weight >= 0):
@@ -189,10 +195,14 @@ def _round4(x: float) -> int:
 def augment(sample: Sample, rng: np.random.Generator, long_side=(32, 64)):
     """One random augmentation: affine (scale, rotation, resize so the long
     side lands in the configured range, translation keeping the lesion
-    on-grid), brightness/contrast jitter, Gaussian blur. The ellipse, pseudo
-    mask and constrained region are recomputed from the mapped annotation;
-    the gt mask is not warped (training never reads it), so sample' has
-    none. After 10 failed draws the sample is returned unchanged. Returns
+    on-grid), brightness/contrast jitter, Gaussian blur. The ellipse,
+    constrained region and pseudo mask are recomputed from the mapped
+    annotation: FG inside the re-rasterized ellipse, BG outside, and a
+    refined mask's IGNORE pixels, warped with the image (bilinear, kept where
+    >= 0.5), on top. update_pseudo_mask writes only FG or IGNORE inside the
+    ellipse and BG or IGNORE outside it, so this keeps the refinement. The
+    gt mask is not warped (training never reads it), so sample' has none.
+    After 10 failed draws the sample is returned unchanged. Returns
     (sample', skipped)."""
     h, w = sample.image.shape
     for _ in range(10):
@@ -229,41 +239,15 @@ def augment(sample: Sample, rng: np.random.Generator, long_side=(32, 64)):
         emask = rasterize_ellipse(e, dims)
         if not emask.any():
             continue
-        pseudo = _transfer_pseudo(sample.pseudo, emask)
+        pseudo = np.where(emask, FG, BG).astype(np.int8)
+        ignore = sample.pseudo == IGNORE
+        if ignore.any():
+            pseudo[apply_affine(ignore, t, dims) >= 0.5] = IGNORE
         region = constrained_region(e, dims)
         return Sample(image=img, annotation=ann, ellipse=e, pseudo=pseudo,
                       region=region, sample_id=sample.sample_id,
                       meta=dict(sample.meta)), False
     return sample, True
-
-
-def _transfer_pseudo(old_pseudo: np.ndarray, new_emask: np.ndarray) -> np.ndarray:
-    """Rebuild the tri-mask on the augmented grid. Foreground follows the
-    re-rasterized ellipse; an updated mask's IGNORE ring (the part of the old
-    ellipse not kept as foreground) is re-derived proportionally by dilating
-    the new foreground when the old mask contained IGNORE pixels."""
-    out = np.where(new_emask, FG, BG).astype(np.int8)
-    if (old_pseudo == IGNORE).any():
-        old_fg = int((old_pseudo == FG).sum())
-        old_ring = int((old_pseudo == IGNORE).sum())
-        if old_fg > 0:
-            # grow by the same area ratio the old ignore band had
-            ratio = np.sqrt(1.0 + old_ring / old_fg)
-            grown = _scale_mask_about_centroid(new_emask, ratio)
-            out[grown & ~new_emask] = IGNORE
-    return out
-
-
-def _scale_mask_about_centroid(mask: np.ndarray, ratio: float) -> np.ndarray:
-    ys, xs = np.nonzero(mask)
-    cy, cx = ys.mean(), xs.mean()
-    h, w = mask.shape
-    gx, gy = np.meshgrid(np.arange(w) + 0.5, np.arange(h) + 0.5)
-    sx = cx + 0.5 + (gx - cx - 0.5) / ratio
-    sy = cy + 0.5 + (gy - cy - 0.5) / ratio
-    xi = np.clip(np.floor(sx - 0.5).astype(int), 0, w - 1)
-    yi = np.clip(np.floor(sy - 0.5).astype(int), 0, h - 1)
-    return mask[yi, xi]
 
 
 # ---------------------------------------------------------------------------

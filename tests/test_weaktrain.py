@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from weakseg.imgcore import BG, FG, IGNORE
 from weakseg.losses import DegenerateRegionError, rls_loss, seg_loss
 from weakseg.model import ArchConfig, adam_init, adam_step, backward, \
     forward, init_params
+from weakseg.recist import rasterize_ellipse
 from weakseg.synthgen import SynthConfig, gen_dataset
 from weakseg.weaktrain import (TrainConfig, augment, make_pseudo_masks,
                                predict, train_config_from_json, train_rounds,
@@ -38,6 +41,10 @@ class TestConfig:
             TrainConfig(long_side=(64, 32))
         with pytest.raises(ValueError):
             TrainConfig(rls_region="sometimes")
+        # decay epochs past the schedule's end are allowed: the default
+        # (40, 60) meets short schedules
+        assert TrainConfig(epochs=4, stage2_start=2,
+                           decay_epochs=(3, 60)).decay_epochs == (3, 60)
 
     def test_from_json(self):
         cfg = train_config_from_json(
@@ -72,6 +79,21 @@ class TestConfig:
                                        "finite, got nan"),
         ('{"loss": {"lambda2": -Infinity}}', "lambda2 must be non-negative "
                                              "and finite, got -inf"),
+        ('{"decay_epochs": [-1]}', "decay_epochs must be strictly increasing "
+                                   "epochs >= 1, got [-1]"),
+        ('{"decay_epochs": [0]}', "decay_epochs must be strictly increasing "
+                                  "epochs >= 1, got [0]"),
+        ('{"decay_epochs": [2, 2]}', "decay_epochs must be strictly "
+                                     "increasing epochs >= 1, got [2, 2]"),
+        ('{"decay_epochs": [3, 1]}', "decay_epochs must be strictly "
+                                     "increasing epochs >= 1, got [3, 1]"),
+        ('{"epochs": 4, "stage2_start": 5}', "need 0 < stage2_start <= "
+                                             "epochs, got stage2_start 5 and "
+                                             "epochs 4"),
+        ('{"stage2_start": 0}', "need 0 < stage2_start <= epochs, got "
+                                "stage2_start 0 and epochs 80"),
+        ('{"rounds": 0}', "rounds must be >= 1, got 0"),
+        ('{"arch": {"channels": 0}}', "channels must be >= 1, got 0"),
     ])
     def test_from_json_rejects_bad_values(self, text, shown):
         # json reads NaN and Infinity as floats
@@ -186,6 +208,33 @@ class TestAugment:
             assert 3.5 <= ratio <= 4.5
             checked += 1
         assert checked >= 5
+
+    def test_refined_mask_survives(self):
+        # a round-2 tri-mask: the prediction is the ellipse rolled 3 px, so
+        # the ellipse holds FG and IGNORE, and IGNORE also lies outside it
+        s = tiny_dataset(1)[0]
+        emask = s.pseudo == FG
+        pseudo, _ = update_pseudo_mask(np.roll(emask, 3, axis=1), emask)
+        refined = replace(s, pseudo=pseudo)
+        rng = np.random.default_rng(3)
+        ignored = inside = draws = 0
+        for _ in range(8):
+            out, skipped = augment(refined, rng, long_side=(32, 48))
+            if skipped:
+                continue
+            e = rasterize_ellipse(out.ellipse, out.pseudo.shape[::-1])
+            assert not (out.pseudo[~e] == FG).any()
+            assert (out.pseudo[e] == IGNORE).any()
+            ignored += (out.pseudo[e] == IGNORE).sum()
+            inside += e.sum()
+            draws += 1
+        assert draws >= 5
+        assert abs(ignored / inside - (pseudo[emask] == IGNORE).mean()) <= 0.05
+        # without IGNORE the augmented mask is the re-rasterized ellipse
+        for _ in range(5):
+            out, skipped = augment(s, rng, long_side=(32, 48))
+            e = rasterize_ellipse(out.ellipse, out.pseudo.shape[::-1])
+            assert skipped or np.array_equal(out.pseudo, np.where(e, FG, BG))
 
 
 class TestTraining:
