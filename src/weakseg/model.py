@@ -22,6 +22,7 @@ views of it, valid until the next ``forward`` with that workspace.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, asdict
@@ -203,27 +204,36 @@ def _param_shapes(cfg: ArchConfig) -> dict:
     return shapes
 
 
-def _layout(cfg: ArchConfig):
-    """(model.bin header, parameter count). The parameter vector holds the
-    parameters by sorted name, each taking prod(shape) elements; the header's
-    manifest records each one's name, shape and offset."""
-    shapes, manifest, size = _param_shapes(cfg), [], 0
+@functools.cache
+def _offsets(cfg: ArchConfig):
+    """((name, shape, start, stop), ...) in _param_shapes order, and the
+    parameter count: the vector holds the parameters by sorted name, each
+    taking prod(shape) elements. Computed once per arch."""
+    shapes, start, size = _param_shapes(cfg), {}, 0
     for name in sorted(shapes):
-        manifest.append({"name": name, "shape": list(shapes[name]),
-                         "offset": size})
+        start[name] = size
         size += math.prod(shapes[name])
+    return tuple((name, shape, start[name], start[name] + math.prod(shape))
+                 for name, shape in shapes.items()), size
+
+
+def _layout(cfg: ArchConfig):
+    """(model.bin header, parameter count); the header's manifest records
+    each parameter's name, shape and offset, by sorted name."""
+    entries, size = _offsets(cfg)
+    manifest = [{"name": name, "shape": list(shape), "offset": start}
+                for name, shape, start, _ in sorted(entries)]
     return {"version": 1, "arch": asdict(cfg), "manifest": manifest}, size
 
 
 def param_views(params: np.ndarray, cfg: ArchConfig) -> dict:
     """Named views into a parameter (or gradient) vector, in _param_shapes
     order; writing a view writes the vector."""
-    header, size = _layout(cfg)
+    entries, size = _offsets(cfg)
     if params.shape != (size,):
         raise ValueError(f"need {size} parameters, got shape {params.shape}")
-    offsets = {e["name"]: e["offset"] for e in header["manifest"]}
-    return {name: params[offsets[name]:offsets[name] + math.prod(shape)]
-            .reshape(shape) for name, shape in _param_shapes(cfg).items()}
+    return {name: params[start:stop].reshape(shape)
+            for name, shape, start, stop in entries}
 
 
 def init_params(seed: int, cfg: ArchConfig) -> np.ndarray:
@@ -231,7 +241,7 @@ def init_params(seed: int, cfg: ArchConfig) -> np.ndarray:
     all biases start at zero, so the initial predictions are exactly 0.5
     everywhere."""
     rng = np.random.default_rng(seed)
-    params = np.zeros(_layout(cfg)[1])
+    params = np.zeros(_offsets(cfg)[1])
     for name, view in param_views(params, cfg).items():
         if not (name.startswith("head") or name.endswith("_b")):
             bound = 1.0 / np.sqrt(float(math.prod(view.shape[1:])))
