@@ -16,8 +16,14 @@ included; ``backward`` returns one gradient vector of the same layout, which
 (training, pseudo-mask updates, each ``eval --model`` worker) lends
 ``forward`` one reusable ``ConvWorkspace`` per conv layer
 (``new_workspace``), which then holds every large temporary: padded inputs,
-im2col matrices, activations and upsampled inputs. The cache's arrays are
-views of it, valid until the next ``forward`` with that workspace.
+the stride-2 im2col matrices, activations and upsampled inputs. The cache's
+arrays are views of it, valid until the next ``forward`` with that workspace.
+
+The stride-1 convs (enc1, enc3, dec1, dec2) are nine shifted GEMMs on the
+padded input, with no im2col (Anderson et al. 2017, "Low-memory GEMM-based
+convolution algorithms"), and their input gradient is the transposed
+convolution run the same way; the stride-2 convs (enc0, enc2, dec0) use
+im2col.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
+from scipy.special import expit
 
 
 @dataclass(frozen=True)
@@ -54,12 +61,15 @@ class AdamState:
 # primitive layers
 
 class ConvWorkspace:
-    """Reusable buffers of one conv layer. Forward: the padded input ``xp``,
-    the im2col matrix ``col``, the conv output ``out`` (which ``forward``
-    relus in place) and the upsampled input ``up`` of a decoder layer.
-    Backward: the column gradient ``dcol`` and the padded input gradient
-    ``dxp``. Each kind is one flat array, grown when a call needs more and
-    viewed at the call's shape, so inputs of varying size reuse it too."""
+    """Reusable buffers of one conv layer, each one flat array grown when a
+    call needs more and viewed at the call's shape, so inputs of varying
+    size reuse it too. Forward: the padded input ``xp``, the conv output
+    ``out`` (which ``forward`` relus in place), the upsampled input ``up``
+    of a decoder layer, and at stride 2 the im2col matrix ``col``. Backward
+    at stride 1: the padded output gradient ``dp``, the output gradient on
+    the padded grid ``dg`` and the input gradient ``dx``; at stride 2: the
+    column gradient ``dcol`` and the padded input gradient ``dxp``. ``tap``
+    holds one shifted product at a time."""
 
     def __init__(self):
         self._flat = {}
@@ -77,26 +87,15 @@ CONV_LAYERS = ("enc0", "enc1", "enc2", "enc3", "dec0", "dec1", "dec2")
 
 def new_workspace() -> dict:
     """One ConvWorkspace per conv layer, for ``forward(..., workspace=)``.
-    Keyed by layer, not by shape: the ``col`` buffers of enc2, enc3 and dec0
+    Keyed by layer, not by shape: the padded inputs of enc2, enc3 and dec0
     share a shape, and each must survive from forward until backward."""
     return {name: ConvWorkspace() for name in CONV_LAYERS}
 
 
-def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1,
-           pad_mode: str = "zero", workspace: ConvWorkspace | None = None):
-    """3x3 convolution, pad 1. Returns (out, cache for conv2d_backward).
-
-    With no workspace every buffer is freshly allocated. With one, the
-    padded input, im2col and the output are written into its ``xp``,
-    ``col`` and ``out`` buffers, and conv2d_backward takes ``dcol`` and
-    ``dxp`` from it: the output and the cache are then valid only until the
-    next conv2d call with that same workspace."""
-    if workspace is None:
-        workspace = ConvWorkspace()
-    cin, h, wd = x.shape
-    cout = w.shape[0]
-    # the padded input: the same values np.pad writes, zero or wrap border
-    xp = workspace.buffer("xp", (cin, h + 2, wd + 2))
+def _pad(xp: np.ndarray, x: np.ndarray, pad_mode: str) -> np.ndarray:
+    """Writes (C, H, W) x into xp[:, 1:H+1, 1:W+1] with the border np.pad
+    gives at width 1, zero or wrap; rows past H+1 are zeroed."""
+    h, wd = x.shape[1:]
     xp[:, 1:h + 1, 1:wd + 1] = x
     if pad_mode == "zero":
         xp[:, 0] = xp[:, h + 1] = 0.0
@@ -106,6 +105,58 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1,
         xp[:, h + 1, 1:wd + 1] = x[:, 0]
         xp[:, :, 0] = xp[:, :, wd]
         xp[:, :, wd + 1] = xp[:, :, 1]
+    xp[:, h + 2:] = 0.0
+    return xp
+
+
+def _tap_offsets(wd: int):
+    """Where tap (di, dj) starts in a flattened (C, H+3, W+2) padded map."""
+    return [di * (wd + 2) + dj for di in range(3) for dj in range(3)]
+
+
+def _shifted_conv(x, taps, pad_mode, workspace, pad_kind, out_kind):
+    """Stride-1 3x3 convolution of (C, H, W) x as nine shifted GEMMs: the
+    sum over taps k = 3*di + dj of taps[k] @ (x padded by one, shifted by
+    (di, dj)). x is padded once into the ``pad_kind`` buffer, (C, H+3, W+2):
+    in its flattened rows every shift is the contiguous slice of H*(W+2)
+    elements at offset di*(W+2)+dj, the spare row keeping the last one in
+    bounds. The sum lands on an (H, W+2) grid in ``out_kind``, whose 2 spare
+    columns the returned view drops. Returns (out view, flattened padded
+    x)."""
+    cin, h, wd = x.shape
+    n = h * (wd + 2)
+    flat = _pad(workspace.buffer(pad_kind, (cin, h + 3, wd + 2)), x,
+                pad_mode).reshape(cin, -1)
+    out = workspace.buffer(out_kind, (taps.shape[1], n))
+    tap = workspace.buffer("tap", out.shape)
+    offsets = _tap_offsets(wd)
+    np.matmul(taps[0], flat[:, :n], out=out)
+    for k in range(1, 9):
+        out += np.matmul(taps[k], flat[:, offsets[k]:offsets[k] + n], out=tap)
+    return out.reshape(-1, h, wd + 2)[:, :, :wd], flat
+
+
+def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1,
+           pad_mode: str = "zero", workspace: ConvWorkspace | None = None):
+    """3x3 convolution, pad 1. Returns (out, cache for conv2d_backward).
+
+    Stride 1 runs nine shifted GEMMs on the padded input (_shifted_conv);
+    stride 2 multiplies by the im2col matrix. With no workspace every buffer
+    is freshly allocated. With one, the padded input, the im2col matrix and
+    the output are written into its ``xp``, ``col`` and ``out`` buffers, and
+    conv2d_backward takes its buffers from it too: the output and the cache
+    are then valid only until the next conv2d call with that same
+    workspace."""
+    if workspace is None:
+        workspace = ConvWorkspace()
+    cin, h, wd = x.shape
+    cout = w.shape[0]
+    if stride == 1:
+        taps = w.transpose(2, 3, 0, 1).reshape(9, cout, cin)
+        out, flat = _shifted_conv(x, taps, pad_mode, workspace, "xp", "out")
+        out += b[:, None, None]
+        return out, (flat, x.shape, w, stride, pad_mode, workspace)
+    xp = _pad(workspace.buffer("xp", (cin, h + 2, wd + 2)), x, pad_mode)
     ho, wo = h // stride, wd // stride
     col = workspace.buffer("col", (cin, 3, 3, ho, wo))
     for di in range(3):
@@ -121,14 +172,32 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1,
 
 def conv2d_backward(dout: np.ndarray, cache, input_grad: bool = True):
     """Returns (dx, dw, db); dx is None when input_grad is false. dx is a view
-    of the ``dxp`` buffer of the cache's workspace (one of its own when
-    conv2d had none), valid until the next backward into that buffer."""
-    col2, xshape, w, stride, pad_mode, workspace = cache
+    of a buffer of the cache's workspace (one of its own when conv2d had
+    none), valid until the next backward into that buffer.
+
+    At stride 1, dw[:, :, di, dj] is the output gradient, laid on the padded
+    grid with zero spare columns, times tap (di, dj)'s slice of the padded
+    input; dx is the transposed convolution: _shifted_conv on the output
+    gradient, padded the same way, with the kernel flipped and transposed."""
+    xs, xshape, w, stride, pad_mode, workspace = cache
     cin, h, wd = xshape
     cout, ho, wo = dout.shape
+    db = dout.reshape(cout, ho * wo).sum(axis=1)
+    if stride == 1:
+        n = h * (wd + 2)
+        dg = workspace.buffer("dg", (cout, h, wd + 2))
+        dg[:, :, :wd] = dout
+        dg[:, :, wd:] = 0.0
+        dg = dg.reshape(cout, n)
+        dw = np.stack([dg @ xs[:, o:o + n].T for o in _tap_offsets(wd)],
+                      axis=2).reshape(w.shape)
+        if not input_grad:
+            return None, dw, db
+        taps = w[:, :, ::-1, ::-1].transpose(2, 3, 1, 0).reshape(9, cin, cout)
+        dx, _ = _shifted_conv(dout, taps, pad_mode, workspace, "dp", "dx")
+        return dx, dw, db
     dflat = dout.reshape(cout, ho * wo)
-    dw = (dflat @ col2.T).reshape(w.shape)
-    db = dflat.sum(axis=1)
+    dw = (dflat @ xs.T).reshape(w.shape)
     if not input_grad:
         return None, dw, db
     dcol = np.matmul(w.reshape(cout, cin * 9).T, dflat,
@@ -155,15 +224,6 @@ def conv1x1(x: np.ndarray, w: np.ndarray, b: float) -> np.ndarray:
 
 def relu(x, out=None):
     return np.maximum(x, 0.0, out=out)
-
-
-def sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def up2(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -267,7 +327,7 @@ def scale_attention_fuse(f1: np.ndarray, f2: np.ndarray, params: dict):
         z = f.mean(axis=(1, 2))
         pre1 = params[f"{pfx}_w1"] @ z + params[f"{pfx}_b1"]
         hdd = relu(pre1)
-        a = sigmoid(params[f"{pfx}_w2"] @ hdd + params[f"{pfx}_b2"])
+        a = expit(params[f"{pfx}_w2"] @ hdd + params[f"{pfx}_b2"])
         zs.append(z)
         pre1s.append(pre1)
         hs.append(hdd)
@@ -314,8 +374,8 @@ def forward(img: np.ndarray, params: np.ndarray, cfg: ArchConfig,
     what backward() needs, params included.
 
     ``workspace`` (from new_workspace) lends every conv layer its reusable
-    buffers: the im2col matrices and also the activations and upsampled
-    inputs in the cache are views of it, valid only until the next forward
+    buffers: the padded inputs and im2col matrices and also the activations
+    and upsampled inputs in the cache are views of it, valid only until the next forward
     with that same workspace (p1, p2 and p3 are fresh arrays). Without one
     every buffer is fresh, as concurrent callers need."""
     img = np.asarray(img, dtype=np.float64)
@@ -349,11 +409,11 @@ def forward(img: np.ndarray, params: np.ndarray, cfg: ArchConfig,
     else:
         fused, sa_cache = 0.5 * (f1 + u2), None
     c4, d1 = conv_relu(fused, "dec0", 2)
-    p1 = sigmoid(conv1x1(d1, pv["head1_w"], pv["head1_b"]))
+    p1 = expit(conv1x1(d1, pv["head1_w"], pv["head1_b"]))
     c5, d2 = conv_relu(up2_cat(d1, p1, "dec1"), "dec1", 1)
-    p2 = sigmoid(conv1x1(d2, pv["head2_w"], pv["head2_b"]))
+    p2 = expit(conv1x1(d2, pv["head2_w"], pv["head2_b"]))
     c6, d3 = conv_relu(up2_cat(d2, p2, "dec2"), "dec2", 1)
-    p3 = sigmoid(conv1x1(d3, pv["head3_w"], pv["head3_b"]))
+    p3 = expit(conv1x1(d3, pv["head3_w"], pv["head3_b"]))
     cache = dict(cfg=cfg, params=params, views=pv,
                  convs=(c0, c1, c2, c3, c4, c5, c6),
                  acts=(e0, f1, e2, f2, d1, d2, d3), sa_cache=sa_cache,

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from weakseg import model
 from weakseg.cli import model_gradcheck
 from weakseg.losses import finite_diff_check
 from weakseg.model import (AdamState, ArchConfig, ConvWorkspace, adam_init,
@@ -118,6 +119,65 @@ class TestForward:
         out, _ = conv2d(x, w, b, stride, pad_mode, ws)
         assert np.allclose(out, want, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("pad_mode", ["zero", "wrap"])
+    @pytest.mark.parametrize("h, w", [(8, 12), (9, 7)])
+    @pytest.mark.parametrize("first", [(13, 17), (4, 5)])
+    def test_stride1_matches_np_pad_reference(self, pad_mode, h, w, first):
+        # out, dx and dw of the shifted-GEMM path against np.pad and direct
+        # sums, on a workspace first used at a larger or a smaller shape and
+        # then filled with NaN, so a stale spare row, spare column or border
+        # of a reused buffer would show
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(2, h, w))
+        wt = rng.normal(size=(3, 2, 3, 3))
+        b = rng.normal(size=3)
+        dout = rng.normal(size=(3, h, w))
+        mode = "constant" if pad_mode == "zero" else "wrap"
+        xp = np.pad(x, ((0, 0), (1, 1), (1, 1)), mode=mode)
+        dp = np.pad(dout, ((0, 0), (1, 1), (1, 1)), mode=mode)
+        want_out = np.zeros((3, h, w)) + b[:, None, None]
+        want_dx = np.zeros((2, h, w))
+        want_dw = np.zeros(wt.shape)
+        for di in range(3):
+            for dj in range(3):
+                patch = xp[:, di:di + h, dj:dj + w]
+                want_out += np.einsum("oc,chw->ohw", wt[:, :, di, dj], patch)
+                # the adjoint: dout padded the same way, kernel flipped
+                want_dx += np.einsum("oc,ohw->chw", wt[:, :, 2 - di, 2 - dj],
+                                     dp[:, di:di + h, dj:dj + w])
+                want_dw[:, :, di, dj] = np.einsum("ohw,chw->oc", dout, patch)
+        ws = ConvWorkspace()
+        _, cache = conv2d(rng.normal(size=(2,) + first), wt, b, 1, pad_mode,
+                          ws)
+        conv2d_backward(rng.normal(size=(3,) + first), cache)
+        for flat in ws._flat.values():
+            flat.fill(np.nan)
+        out, cache = conv2d(x, wt, b, 1, pad_mode, ws)
+        assert np.allclose(out, want_out, rtol=0, atol=1e-12)
+        dx, dw, db = conv2d_backward(dout, cache)
+        assert np.allclose(dx, want_dx, rtol=0, atol=1e-12)
+        assert np.allclose(dw, want_dw, rtol=0, atol=1e-12)
+        assert np.allclose(db, dout.sum(axis=(1, 2)), rtol=0, atol=1e-12)
+
+    def test_conv2d_called_once_per_layer_in_forward_only(self, monkeypatch):
+        # the benchmark names conv layers by conv2d's call order in forward;
+        # backward must not go through conv2d
+        calls = []
+        real = model.conv2d
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(model, "conv2d", counting)
+        cfg = ArchConfig(channels=4)
+        params = init_params(15, cfg)
+        views = param_views(params, cfg)
+        p1, p2, p3, cache = forward(np.zeros((16, 16)), params, cfg)
+        assert calls == [views[n + "_w"].shape for n in model.CONV_LAYERS]
+        backward(cache, (np.ones_like(p1), np.ones_like(p2), np.ones_like(p3)))
+        assert len(calls) == 7
+
 
 class TestScaleAttention:
     def _setup(self, seed, c=4, hw=6):
@@ -196,8 +256,9 @@ class TestBackward:
         assert np.allclose(2.0 * g1, g2, atol=1e-12)
 
     def test_workspace_backward_repeats(self):
-        # backward re-zeroes the workspace's dxp buffers, so a second call on
-        # one workspace-backed cache gives the same grads
+        # backward rewrites every workspace buffer it reads (the padded and
+        # zero-columned output gradients, the stride-2 dxp), so a second call
+        # on one workspace-backed cache gives the same grads
         cfg = ArchConfig(channels=4, pad_mode="wrap")
         params = init_params(9, cfg)
         rng = np.random.default_rng(9)
