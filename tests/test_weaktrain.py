@@ -420,6 +420,29 @@ class TestTraining:
         assert len(histories) == 2
         assert len(histories[0].records) == cfg.epochs
 
+    def test_rounds_without_mask_change_reuse_the_training(self,
+                                                           monkeypatch):
+        # 2 epochs at channels 2 never reach 0.5 inside an ellipse, so every
+        # sample is retained: rounds 2 and 3 would retrain to the same bytes,
+        # and train_rounds reuses round 1 instead
+        ds = tiny_dataset(n=6)
+        cfg = tiny_config(rounds=3)
+        want_params, want_history = train_schedule(ds, cfg)
+        real_schedule, calls, seen = weaktrain.train_schedule, [], []
+
+        def counting(*args):
+            calls.append(args)
+            return real_schedule(*args)
+
+        monkeypatch.setattr(weaktrain, "train_schedule", counting)
+        params, histories = train_rounds(
+            ds, cfg, on_round=lambda rnd, p: seen.append((rnd, p.copy())))
+        assert len(calls) == 1
+        assert [rnd for rnd, _ in seen] == [0, 1, 2]
+        for p in [params] + [p for _, p in seen]:
+            assert p.tobytes() == want_params.tobytes()
+        assert [h.to_csv() for h in histories] == [want_history.to_csv()] * 3
+
     def test_history_csv(self):
         ds = tiny_dataset(n=2)
         cfg = tiny_config()
