@@ -104,10 +104,6 @@ def encode_pgm(img: np.ndarray) -> bytes:
 # ---------------------------------------------------------------------------
 # Affine transforms (2x3, row-major: out = M[:, :2] @ (x, y) + M[:, 2])
 
-def affine_identity() -> np.ndarray:
-    return np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-
-
 def affine_translation(dx: float, dy: float) -> np.ndarray:
     return np.array([[1.0, 0.0, dx], [0.0, 1.0, dy]])
 
