@@ -218,8 +218,9 @@ def conv2d_backward(dout: np.ndarray, cache, input_grad: bool = True):
 
 
 def conv1x1(x: np.ndarray, w: np.ndarray, b: float) -> np.ndarray:
-    """1x1 projection of (C,H,W) features to a single map."""
-    return np.tensordot(w, x, axes=([0], [0])) + b
+    """1x1 projection of (C,H,W) features to a single map; one (C,) @ (C,W)
+    product per row, so a strided view of x is read in place."""
+    return np.matmul(w, x.transpose(1, 0, 2)) + b
 
 
 def relu(x, out=None):
@@ -234,8 +235,9 @@ def up2(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def up2_backward(d: np.ndarray) -> np.ndarray:
-    c, h, w = d.shape
-    return d.reshape(c, h // 2, 2, w // 2, 2).sum(axis=(2, 4))
+    """Sums each 2x2 block of (C,2H,2W) d: rows, then columns."""
+    rows = d[:, 0::2] + d[:, 1::2]
+    return rows[:, :, 0::2] + rows[:, :, 1::2]
 
 
 # ---------------------------------------------------------------------------
