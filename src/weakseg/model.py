@@ -20,10 +20,9 @@ the stride-2 im2col matrices, activations and upsampled inputs. The cache's
 arrays are views of it, valid until the next ``forward`` with that workspace.
 
 The stride-1 convs (enc1, enc3, dec1, dec2) are nine shifted GEMMs on the
-padded input, with no im2col (Anderson et al. 2017, "Low-memory GEMM-based
-convolution algorithms"), and their input gradient is the transposed
-convolution run the same way; the stride-2 convs (enc0, enc2, dec0) use
-im2col.
+padded input (Anderson et al. 2017, "Low-memory GEMM-based convolution
+algorithms"), their input gradient the transposed convolution run the same
+way; the stride-2 convs (enc0, enc2, dec0) use im2col.
 """
 
 from __future__ import annotations
@@ -377,9 +376,9 @@ def forward(img: np.ndarray, params: np.ndarray, cfg: ArchConfig,
 
     ``workspace`` (from new_workspace) lends every conv layer its reusable
     buffers: the padded inputs and im2col matrices and also the activations
-    and upsampled inputs in the cache are views of it, valid only until the next forward
-    with that same workspace (p1, p2 and p3 are fresh arrays). Without one
-    every buffer is fresh, as concurrent callers need."""
+    and upsampled inputs in the cache are views of it, valid only until the
+    next forward with that same workspace (p1, p2 and p3 are fresh arrays).
+    Without one every buffer is fresh, as concurrent callers need."""
     img = np.asarray(img, dtype=np.float64)
     h, w = img.shape
     if h % 4 or w % 4:
