@@ -4,15 +4,16 @@ discretized energy
     mu * Length + nu * Area + l1 * sum (v - c1)^2 H(phi)
                             + l2 * sum (v - c2)^2 (1 - H(phi))
 
-with a smoothed (arctan) Heaviside. The length term uses central differences
-of H(phi) with periodic wrap. ``cv_energy`` returns the energy and, on
-request, its exact gradient from one pass over reusable scratch arrays; the
-solver evaluates each backtracking line-search candidate once, with its
-gradient, and the energy trace is non-increasing. The solver's output is the
-mask {phi >= 0}, so the mask decides when it stops: after ``settle``
-consecutive accepted iterations in which no pixel changed sign (phi away
-from the contour keeps drifting long after the mask is fixed), or at the
-``iters`` cap.
+with a smoothed (arctan) Heaviside. The region data term (the last two
+terms) is ``losses.data_term``, which the RLS training loss shares. The
+length term uses central differences of H(phi) with periodic wrap.
+``cv_energy`` returns the energy and, on request, its exact gradient from
+one pass over reusable scratch arrays; the solver evaluates each
+backtracking line-search candidate once, with its gradient, and the energy
+trace is non-increasing. The solver's output is the mask {phi >= 0}, so the
+mask decides when it stops: after ``settle`` consecutive accepted
+iterations in which no pixel changed sign (phi away from the contour keeps
+drifting long after the mask is fixed), or at the ``iters`` cap.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import distance_transform_edt
 
-from .losses import DegenerateRegionError
+from .losses import DegenerateRegionError, data_term
 
 _LEN_ETA = 1e-12  # smoothing inside the gradient-magnitude square root
 _N_WORK = 6  # scratch arrays of the image's shape per energy evaluation
@@ -93,23 +94,14 @@ def cv_energy(phi, img, cfg: CvConfig, grad=None, work=None) -> float:
     v = np.asarray(img, dtype=np.float64)
     if phi.shape != v.shape:
         raise ValueError("level set and image shapes must match")
-    h, g, r1, r2, t1, t2 = np.empty((_N_WORK,) + v.shape) if work is None else work
+    work = np.empty((_N_WORK,) + v.shape) if work is None else work
+    h, g, r1, r2, t1, t2 = work
     smooth_heaviside(phi, cfg.eps, out=h)
-    np.subtract(1.0, h, out=g)
-    w1, w2 = float(h.sum()), float(g.sum())
-    if w1 <= 1e-12 or w2 <= 1e-12:
-        raise DegenerateRegionError(
-            f"level set has no mass on one side (inside {w1:.3g}, outside {w2:.3g})")
-    c1 = float(np.multiply(v, h, out=t1).sum()) / w1
-    c2 = float(np.multiply(v, g, out=t1).sum()) / w2
-    # lambda * (v - c)^2, each computed once for the energy and the gradient
-    np.multiply(cfg.lambda1, np.square(np.subtract(v, c1, out=r1), out=r1), out=r1)
-    np.multiply(cfg.lambda2, np.square(np.subtract(v, c2, out=r2), out=r2), out=r2)
-    np.add(np.multiply(r1, h, out=t1), np.multiply(r2, g, out=t2), out=t1)
-    energy = float(t1.sum())
+    energy, _ = data_term(h, v, cfg.lambda1, cfg.lambda2, grad, work[1:5])
     if grad is not None:
-        np.add(np.subtract(r1, r2, out=grad), cfg.nu, out=grad)
-    energy += cfg.nu * w1
+        np.add(grad, cfg.nu, out=grad)
+    if cfg.nu != 0.0:
+        energy += cfg.nu * float(h.sum())
     if cfg.mu != 0.0:
         gx = _central_diff(t1, h, t2, 1, 1)
         gy = _central_diff(r2, h, t2, 0, 1)

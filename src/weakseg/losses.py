@@ -1,6 +1,7 @@
 """Training losses with analytic gradients: pixel-wise binary cross entropy,
-soft IoU, and the regional level set loss evaluated over a constrained
-region, plus a central finite-difference gradient checker.
+soft IoU, and the regional level set loss, which is the Chan-Vese region
+data term (``data_term``, shared with ``levelset.cv_energy``) over a
+constrained region; plus a central finite-difference gradient checker.
 
 Tri-label masks may mark pixels IGNORE; those pixels contribute neither to
 loss values nor to gradients.
@@ -97,18 +98,32 @@ def _region_inputs(p, img, region):
     return p, v, r
 
 
-def region_means(p: np.ndarray, img: np.ndarray, region: np.ndarray) -> RegionMeans:
-    """Prediction-weighted mean intensities inside/outside, over the region."""
-    p, v, r = _region_inputs(p, img, region)
-    pw = p[r]
-    vw = v[r]
-    w1 = float(pw.sum())
-    w2 = float((1.0 - pw).sum())
+def data_term(h: np.ndarray, v: np.ndarray, lambda1: float, lambda2: float,
+              grad=None, work=None):
+    """Chan-Vese region data term sum [l1 (v-c1)^2 h + l2 (v-c2)^2 (1-h)] of
+    same-shape weights h and image v, c1 and c2 the h- and (1-h)-weighted
+    means of v; returns (value, RegionMeans). ``grad`` (optional) receives
+    l1 (v-c1)^2 - l2 (v-c2)^2; ``work`` is optional (4, *h.shape) scratch."""
+    g, r1, r2, t = np.empty((4,) + h.shape) if work is None else work
+    np.subtract(1.0, h, out=g)
+    w1, w2 = float(h.sum()), float(g.sum())
     if w1 <= 1e-12 or w2 <= 1e-12:
         raise DegenerateRegionError(
             f"degenerate region weights (inside {w1:.3g}, outside {w2:.3g})")
-    return RegionMeans(c1=float((pw * vw).sum()) / w1,
-                       c2=float(((1.0 - pw) * vw).sum()) / w2)
+    c1 = float(np.multiply(v, h, out=t).sum()) / w1
+    c2 = float(np.multiply(v, g, out=t).sum()) / w2
+    np.multiply(lambda1, np.square(np.subtract(v, c1, out=r1), out=r1), out=r1)
+    np.multiply(lambda2, np.square(np.subtract(v, c2, out=r2), out=r2), out=r2)
+    if grad is not None:
+        np.subtract(r1, r2, out=grad)
+    np.add(np.multiply(r1, h, out=r1), np.multiply(r2, g, out=r2), out=r1)
+    return float(r1.sum()), RegionMeans(c1=c1, c2=c2)
+
+
+def region_means(p: np.ndarray, img: np.ndarray, region: np.ndarray) -> RegionMeans:
+    """Prediction-weighted mean intensities inside/outside, over the region."""
+    p, v, r = _region_inputs(p, img, region)
+    return data_term(p[r], v[r], 1.0, 1.0)[1]
 
 
 def rls_loss(p: np.ndarray, img: np.ndarray, region: np.ndarray,
@@ -122,15 +137,12 @@ def rls_loss(p: np.ndarray, img: np.ndarray, region: np.ndarray,
     their weighted sums, so sum_R p (v - c1) = 0 = sum_R (1 - p) (v - c2).
     """
     p, v, r = _region_inputs(p, img, region)
-    means = region_means(p, v, r)
-    c1, c2 = means.c1, means.c2
     n = int(r.sum())
-    d1 = (v - c1) ** 2
-    d2 = (v - c2) ** 2
-    value = float((cfg.lambda1 * p * d1 + cfg.lambda2 * (1.0 - p) * d2)[r].sum()) / n
     grad = np.zeros_like(p)
-    grad[r] = (cfg.lambda1 * d1[r] - cfg.lambda2 * d2[r]) / n
-    return LossValueGrad(value=value, grad=grad)
+    dr = np.empty(n)
+    value, _ = data_term(p[r], v[r], cfg.lambda1, cfg.lambda2, dr)
+    grad[r] = dr / n
+    return LossValueGrad(value=value / n, grad=grad)
 
 
 def seg_loss(preds, masks, clamp_eps: float = 1e-7):

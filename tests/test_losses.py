@@ -160,6 +160,21 @@ class TestRls:
         b = rls_loss(1.0 - p, img, region, LossConfig(lambda1=3.0, lambda2=1.0))
         assert abs(a.value - b.value) < 1e-12
 
+    def test_grad_is_the_frozen_means_formula_exactly(self):
+        rng = np.random.default_rng(6)
+        img = rng.uniform(0, 1, (7, 9))
+        p = rng.uniform(0.05, 0.95, (7, 9))
+        region = rng.uniform(0, 1, (7, 9)) < 0.6
+        region[0, :2] = True
+        cfg = LossConfig(lambda1=1.5, lambda2=2.5)
+        means = region_means(p, img, region)
+        d1 = (img - means.c1) ** 2
+        d2 = (img - means.c2) ** 2
+        want = np.zeros_like(p)
+        want[region] = (cfg.lambda1 * d1[region]
+                        - cfg.lambda2 * d2[region]) / int(region.sum())
+        assert rls_loss(p, img, region, cfg).grad.tobytes() == want.tobytes()
+
     def test_finite_differences_frozen_means(self):
         rng = np.random.default_rng(5)
         img = rng.uniform(0, 1, (8, 8))
