@@ -21,8 +21,9 @@ arrays are views of it, valid until the next ``forward`` with that workspace.
 
 The stride-1 convs (enc1, enc3, dec1, dec2) are nine shifted GEMMs on the
 padded input (Anderson et al. 2017, "Low-memory GEMM-based convolution
-algorithms"), their input gradient the transposed convolution run the same
-way; the stride-2 convs (enc0, enc2, dec0) use im2col.
+algorithms"); the stride-2 convs (enc0, enc2, dec0) use im2col. Every input
+gradient is the transposed convolution run as shifted GEMMs, at stride 2 on
+the zero-upsampled output gradient (Dumoulin & Visin 2016).
 """
 
 from __future__ import annotations
@@ -64,10 +65,10 @@ class ConvWorkspace:
     call needs more and viewed at the call's shape, so inputs of varying
     size reuse it too. Forward: the padded input ``xp``, the conv output
     ``out`` (which ``forward`` relus in place), the upsampled input ``up``
-    of a decoder layer, and at stride 2 the im2col matrix ``col``. Backward
-    at stride 1: the padded output gradient ``dp``, the output gradient on
-    the padded grid ``dg`` and the input gradient ``dx``; at stride 2: the
-    column gradient ``dcol`` and the padded input gradient ``dxp``. ``tap``
+    of a decoder layer, and at stride 2 the im2col matrix ``col``. Backward:
+    the output gradient on the input's grid ``dg`` (at stride 1 with two
+    zero spare columns, for dw; at stride 2 zero-upsampled, for dx), the
+    padded output gradient ``dp`` and the input gradient ``dx``. ``tap``
     holds one shifted product at a time."""
 
     def __init__(self):
@@ -176,8 +177,10 @@ def conv2d_backward(dout: np.ndarray, cache, input_grad: bool = True):
 
     At stride 1, dw[:, :, di, dj] is the output gradient, laid on the padded
     grid with zero spare columns, times tap (di, dj)'s slice of the padded
-    input; dx is the transposed convolution: _shifted_conv on the output
-    gradient, padded the same way, with the kernel flipped and transposed."""
+    input. dx is the transposed convolution: _shifted_conv on the output
+    gradient, padded the same way, with the kernel flipped and transposed;
+    a strided conv samples the stride-1 conv, so there the output gradient
+    is first zero-upsampled to the input's grid."""
     xs, xshape, w, stride, pad_mode, workspace = cache
     cin, h, wd = xshape
     cout, ho, wo = dout.shape
@@ -190,30 +193,18 @@ def conv2d_backward(dout: np.ndarray, cache, input_grad: bool = True):
         dg = dg.reshape(cout, n)
         dw = np.stack([dg @ xs[:, o:o + n].T for o in _tap_offsets(wd)],
                       axis=2).reshape(w.shape)
-        if not input_grad:
-            return None, dw, db
-        taps = w[:, :, ::-1, ::-1].transpose(2, 3, 1, 0).reshape(9, cin, cout)
-        dx, _ = _shifted_conv(dout, taps, pad_mode, workspace, "dp", "dx")
-        return dx, dw, db
-    dflat = dout.reshape(cout, ho * wo)
-    dw = (dflat @ xs.T).reshape(w.shape)
+    else:
+        dw = (dout.reshape(cout, ho * wo) @ xs.T).reshape(w.shape)
     if not input_grad:
         return None, dw, db
-    dcol = np.matmul(w.reshape(cout, cin * 9).T, dflat,
-                     out=workspace.buffer("dcol", (cin * 9, ho * wo)))
-    dcol = dcol.reshape(cin, 3, 3, ho, wo)
-    dxp = workspace.buffer("dxp", (cin, h + 2, wd + 2))
-    dxp.fill(0.0)
-    for di in range(3):
-        for dj in range(3):
-            dxp[:, di:di + (ho - 1) * stride + 1:stride,
-                dj:dj + (wo - 1) * stride + 1:stride] += dcol[:, di, dj]
-    if pad_mode == "wrap":
-        dxp[:, 1, :] += dxp[:, h + 1, :]
-        dxp[:, h, :] += dxp[:, 0, :]
-        dxp[:, :, 1] += dxp[:, :, wd + 1]
-        dxp[:, :, wd] += dxp[:, :, 0]
-    return dxp[:, 1:h + 1, 1:wd + 1], dw, db
+    if stride != 1:
+        up = workspace.buffer("dg", (cout, h, wd))
+        up.fill(0.0)
+        up[:, :ho * stride:stride, :wo * stride:stride] = dout
+        dout = up
+    taps = w[:, :, ::-1, ::-1].transpose(2, 3, 1, 0).reshape(9, cin, cout)
+    dx, _ = _shifted_conv(dout, taps, pad_mode, workspace, "dp", "dx")
+    return dx, dw, db
 
 
 def conv1x1(x: np.ndarray, w: np.ndarray, b: float) -> np.ndarray:
@@ -424,7 +415,9 @@ def forward(img: np.ndarray, params: np.ndarray, cfg: ArchConfig,
 
 def _head_backward(dp, p, d, name, params, grads):
     dpre = dp * p * (1.0 - p)
-    grads[name + "_w"][...] = np.sum(dpre[None] * d, axis=(1, 2))
+    # one (C, W) @ (W,) product per row reads a strided view of d in place
+    grads[name + "_w"][...] = np.matmul(d.transpose(1, 0, 2),
+                                        dpre[:, :, None]).sum(axis=0)[:, 0]
     grads[name + "_b"][...] = dpre.sum()
     return params[name + "_w"][:, None, None] * dpre[None]
 

@@ -121,38 +121,47 @@ class TestForward:
 
     @pytest.mark.parametrize("pad_mode", ["zero", "wrap"])
     @pytest.mark.parametrize("h, w", [(8, 12), (9, 7)])
-    @pytest.mark.parametrize("first", [(13, 17), (4, 5)])
-    def test_stride1_matches_np_pad_reference(self, pad_mode, h, w, first):
+    @pytest.mark.parametrize("first, stride",
+                             [((13, 17), 1), ((4, 5), 1), ((13, 17), 2)],
+                             ids=["first0", "first1", "first0-stride2"])
+    def test_stride1_matches_np_pad_reference(self, pad_mode, h, w, first,
+                                              stride):
         # out, dx and dw of the shifted-GEMM path against np.pad and direct
         # sums, on a workspace first used at a larger or a smaller shape and
         # then filled with NaN, so a stale spare row, spare column or border
-        # of a reused buffer would show
+        # of a reused buffer would show; at stride 2 (whose dx is the same
+        # path on the zero-upsampled gradient), so would a stale zero
         rng = np.random.default_rng(14)
+        ho, wo = h // stride, w // stride
         x = rng.normal(size=(2, h, w))
         wt = rng.normal(size=(3, 2, 3, 3))
         b = rng.normal(size=3)
-        dout = rng.normal(size=(3, h, w))
+        dout = rng.normal(size=(3, ho, wo))
+        # the output gradient on the input's grid, zero between the samples
+        dgrid = np.zeros((3, h, w))
+        dgrid[:, :ho * stride:stride, :wo * stride:stride] = dout
         mode = "constant" if pad_mode == "zero" else "wrap"
         xp = np.pad(x, ((0, 0), (1, 1), (1, 1)), mode=mode)
-        dp = np.pad(dout, ((0, 0), (1, 1), (1, 1)), mode=mode)
-        want_out = np.zeros((3, h, w)) + b[:, None, None]
+        dp = np.pad(dgrid, ((0, 0), (1, 1), (1, 1)), mode=mode)
+        want_out = np.zeros((3, ho, wo)) + b[:, None, None]
         want_dx = np.zeros((2, h, w))
         want_dw = np.zeros(wt.shape)
         for di in range(3):
             for dj in range(3):
-                patch = xp[:, di:di + h, dj:dj + w]
+                patch = xp[:, di:di + ho * stride:stride,
+                           dj:dj + wo * stride:stride]
                 want_out += np.einsum("oc,chw->ohw", wt[:, :, di, dj], patch)
-                # the adjoint: dout padded the same way, kernel flipped
+                # the adjoint: dgrid padded the same way, kernel flipped
                 want_dx += np.einsum("oc,ohw->chw", wt[:, :, 2 - di, 2 - dj],
                                      dp[:, di:di + h, dj:dj + w])
                 want_dw[:, :, di, dj] = np.einsum("ohw,chw->oc", dout, patch)
         ws = ConvWorkspace()
-        _, cache = conv2d(rng.normal(size=(2,) + first), wt, b, 1, pad_mode,
-                          ws)
-        conv2d_backward(rng.normal(size=(3,) + first), cache)
+        out, cache = conv2d(rng.normal(size=(2,) + first), wt, b, stride,
+                            pad_mode, ws)
+        conv2d_backward(rng.normal(size=out.shape), cache)
         for flat in ws._flat.values():
             flat.fill(np.nan)
-        out, cache = conv2d(x, wt, b, 1, pad_mode, ws)
+        out, cache = conv2d(x, wt, b, stride, pad_mode, ws)
         assert np.allclose(out, want_out, rtol=0, atol=1e-12)
         dx, dw, db = conv2d_backward(dout, cache)
         assert np.allclose(dx, want_dx, rtol=0, atol=1e-12)
