@@ -44,6 +44,24 @@ def _worker_count() -> int:
 # ---------------------------------------------------------------------------
 # dataset directory I/O
 
+def _read(path, parse):
+    """parse(Path(path)); a missing or malformed file is a DataError."""
+    try:
+        return parse(Path(path))
+    except FileNotFoundError:
+        raise DataError(f"missing {path}") from None
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
+def _read_pgm(path) -> np.ndarray:
+    return _read(path, lambda p: decode_pgm(p.read_bytes()))
+
+
+def _read_annotations(path):
+    return _read(path, lambda p: recist.read_annotation_csv(p.read_text()))
+
+
 def write_dataset(samples, manifest: str, out: Path) -> None:
     (out / "images").mkdir(parents=True, exist_ok=True)
     (out / "gt").mkdir(parents=True, exist_ok=True)
@@ -59,19 +77,13 @@ def write_dataset(samples, manifest: str, out: Path) -> None:
 
 
 def load_dataset(path: Path):
-    ann_file = path / "recist.csv"
-    if not ann_file.exists():
-        raise DataError(f"missing {ann_file}")
     samples = []
-    for sid, ann in recist.read_annotation_csv(ann_file.read_text()):
-        img_file = path / "images" / f"{sid}.pgm"
-        if not img_file.exists():
-            raise DataError(f"missing {img_file}")
-        img = decode_pgm(img_file.read_bytes())
+    for sid, ann in _read_annotations(path / "recist.csv"):
+        img = _read_pgm(path / "images" / f"{sid}.pgm")
         gt = None
         gt_file = path / "gt" / f"{sid}.pgm"
         if gt_file.exists():
-            gt = decode_pgm(gt_file.read_bytes()) >= 0.5
+            gt = _read_pgm(gt_file) >= 0.5
         try:
             samples.append(Sample.from_annotation(img, ann, gt, sid))
         except ValueError as exc:
@@ -98,10 +110,13 @@ def _check_model_sides(dataset, path: Path) -> None:
 # subcommands
 
 def cmd_synth(args) -> int:
-    cfg = SynthConfig(size=args.size, irregularity=args.irregularity,
-                      noise_sigma=args.noise, distractors=args.distractors,
-                      seed=args.seed)
-    samples, manifest = gen_dataset(cfg, args.n)
+    try:
+        cfg = SynthConfig(size=args.size, irregularity=args.irregularity,
+                          noise_sigma=args.noise, distractors=args.distractors,
+                          seed=args.seed)
+        samples, manifest = gen_dataset(cfg, args.n)
+    except ValueError as exc:  # the flags are synth's only input
+        raise UsageError(str(exc)) from None
     write_dataset(samples, manifest, Path(args.out))
     print(f"wrote {len(samples)} samples to {args.out}")
     return 0
@@ -138,10 +153,8 @@ def cmd_eval(args) -> int:
     preds = {}
     if args.pred:
         for s in dataset:
-            f = Path(args.pred) / f"{s.sample_id}.pgm"
-            if not f.exists():
-                raise DataError(f"missing prediction {f}")
-            preds[s.sample_id] = decode_pgm(f.read_bytes()) >= 0.5
+            preds[s.sample_id] = _read_pgm(
+                Path(args.pred) / f"{s.sample_id}.pgm") >= 0.5
     elif args.model:
         _check_model_sides(dataset, Path(args.data))
         params, arch = load_model(args.model)
@@ -212,9 +225,9 @@ def cmd_segment_cv(args) -> int:
         cfg = CvConfig(mu=args.mu, nu=args.nu, iters=args.iters)
     except ValueError as exc:
         raise UsageError(f"--{exc}") from None
-    img = decode_pgm(Path(args.image).read_bytes())
+    img = _read_pgm(args.image)
     if args.init:
-        init = decode_pgm(Path(args.init).read_bytes()) >= 0.5
+        init = _read_pgm(args.init) >= 0.5
         if init.shape != img.shape:
             raise DataError(
                 f"--init {args.init} is {init.shape[1]}x{init.shape[0]} but "
@@ -237,12 +250,14 @@ def cmd_segment_cv(args) -> int:
 
 
 def cmd_fit_ellipse(args) -> int:
-    rows = recist.read_annotation_csv(Path(args.recist).read_text())
-    lookup = dict(rows)
+    lookup = dict(_read_annotations(args.recist))
     if args.image_id not in lookup:
         raise DataError(f"image_id {args.image_id!r} not in {args.recist}")
     e = recist.fit_ellipse(lookup[args.image_id])
-    mask = recist.rasterize_ellipse(e, (args.width, args.height))
+    try:
+        mask = recist.rasterize_ellipse(e, (args.width, args.height))
+    except ValueError as exc:
+        raise UsageError(f"--width/--height: {exc}") from None
     Path(args.out).write_bytes(encode_pgm(mask.astype(np.float64)))
     print(f"center=({e.center[0]:.2f},{e.center[1]:.2f}) a={e.a:.2f} "
           f"b={e.b:.2f} theta={e.theta:.4f}")
@@ -356,9 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ellipse")
     p.add_argument("--out", required=True)
     p.add_argument("--trace")
-    p.add_argument("--mu", type=float, default=0.1)
-    p.add_argument("--nu", type=float, default=0.0)
-    p.add_argument("--iters", type=int, default=500)
+    p.add_argument("--mu", type=float, default=CvConfig.mu)
+    p.add_argument("--nu", type=float, default=CvConfig.nu)
+    p.add_argument("--iters", type=int, default=CvConfig.iters)
     p.set_defaults(func=cmd_segment_cv)
 
     p = sub.add_parser("fit-ellipse", help="rasterize a fitted RECIST ellipse")

@@ -144,10 +144,13 @@ def read_annotation_csv(text: str) -> list[tuple[str, RecistAnnotation]]:
     for row in reader:
         if not row:
             continue
-        if len(row) != 9:
-            raise ValueError(f"annotation row needs 9 fields, got {len(row)}")
-        x = [float(v) for v in row[1:]]
-        out.append((row[0], RecistAnnotation(
-            long_a=(x[0], x[1]), long_b=(x[2], x[3]),
-            short_a=(x[4], x[5]), short_b=(x[6], x[7]))))
+        try:
+            if len(row) != 9:
+                raise ValueError(f"annotation row needs 9 fields, got {len(row)}")
+            x = [float(v) for v in row[1:]]
+            out.append((row[0], RecistAnnotation(
+                long_a=(x[0], x[1]), long_b=(x[2], x[3]),
+                short_a=(x[4], x[5]), short_b=(x[6], x[7]))))
+        except ValueError as exc:
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
     return out

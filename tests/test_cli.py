@@ -46,6 +46,29 @@ class TestDatasetIo:
         assert str(gt_file) in str(info.value)
         assert "20x16" in str(info.value)
 
+    @pytest.mark.parametrize("case", ["truncated image", "non-numeric field",
+                                      "zero-length axis"])
+    def test_malformed_input_names_the_file(self, dataset_dir, tmp_path,
+                                            capsys, case):
+        csv_file = dataset_dir / "recist.csv"
+        if case == "truncated image":
+            bad = dataset_dir / "images" / "001.pgm"
+            bad.write_bytes(bad.read_bytes()[:15])
+            named = f"{bad}: truncated raster"
+        else:
+            rows = csv_file.read_text().splitlines()
+            fields = rows[2].split(",")
+            if case == "non-numeric field":
+                fields[3] = "abc"
+            else:  # the long axis ends where it starts
+                fields[3:5] = fields[1:3]
+            rows[2] = ",".join(fields)
+            csv_file.write_text("\n".join(rows) + "\n")
+            named = f"{csv_file}: line 3: "
+        assert run("eval", "--data", str(dataset_dir), "--pred",
+                   str(tmp_path), "--out", str(tmp_path / "e")) == 2
+        assert named in capsys.readouterr().err
+
 
 class TestSynth:
     def test_writes_layout(self, tmp_path):
@@ -362,10 +385,17 @@ class TestGradcheckAndUsage:
         assert len(lines) == 4
         assert all("OK" in l for l in lines)
 
-    def test_usage_errors(self):
+    def test_usage_errors(self, dataset_dir, tmp_path):
         assert run() == 1
         assert run("synth") == 1
         assert run("no-such-command") == 1
+        # flag values out of range
+        assert run("synth", "--n", "0", "--out", str(tmp_path / "s")) == 1
+        assert run("synth", "--n", "2", "--size", "8",
+                   "--out", str(tmp_path / "s")) == 1
+        assert run("fit-ellipse", "--recist", str(dataset_dir / "recist.csv"),
+                   "--image-id", "000", "--width", "0", "--height", "32",
+                   "--out", str(tmp_path / "e.pgm")) == 1
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert run("segment-cv", "--image", str(tmp_path / "absent.pgm"),
