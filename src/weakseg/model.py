@@ -16,14 +16,21 @@ included; ``backward`` returns one gradient vector of the same layout, which
 (training, pseudo-mask updates, each ``eval --model`` worker) lends
 ``forward`` one reusable ``ConvWorkspace`` per conv layer
 (``new_workspace``), which then holds every large temporary: padded inputs,
-the stride-2 im2col matrices, activations and upsampled inputs. The cache's
-arrays are views of it, valid until the next ``forward`` with that workspace.
+the stride-2 im2col matrices, activations and the decoders' concatenated
+inputs. The cache's arrays are views of it, valid until the next ``forward``
+with that workspace.
 
-The stride-1 convs (enc1, enc3, dec1, dec2) are nine shifted GEMMs on the
-padded input (Anderson et al. 2017, "Low-memory GEMM-based convolution
-algorithms"); the stride-2 convs (enc0, enc2, dec0) use im2col. Every input
-gradient is the transposed convolution run as shifted GEMMs, at stride 2 on
-the zero-upsampled output gradient (Dumoulin & Visin 2016).
+The stride-1 convs (enc1, enc3) are nine shifted GEMMs on the padded input
+(Anderson et al. 2017, "Low-memory GEMM-based convolution algorithms"); the
+stride-2 convs (enc0, enc2, dec0) use im2col. dec1 and dec2 convolve the
+nearest 2x upsampling of their low-resolution input, which is the same as
+four 2x2 convs of that input, one per output phase (Shi et al. 2016,
+"Real-Time Single Image and Video Super-Resolution Using an Efficient
+Sub-Pixel CNN"): sixteen shifted GEMMs, 16/36 of the multiply-adds, and the
+upsampled input is never built. Every input gradient is the transposed
+convolution run as shifted GEMMs, at stride 2 on the zero-upsampled output
+gradient (Dumoulin & Visin 2016), and for dec1 and dec2 on the four output
+phases' gradients, landing on the low-resolution grid.
 """
 
 from __future__ import annotations
@@ -64,11 +71,14 @@ class ConvWorkspace:
     """Reusable buffers of one conv layer, each one flat array grown when a
     call needs more and viewed at the call's shape, so inputs of varying
     size reuse it too. Forward: the padded input ``xp``, the conv output
-    ``out`` (which ``forward`` relus in place), the upsampled input ``up``
-    of a decoder layer, and at stride 2 the im2col matrix ``col``. Backward:
-    the output gradient on the input's grid ``dg`` (at stride 1 with two
-    zero spare columns, for dw; at stride 2 zero-upsampled, for dx), the
-    padded output gradient ``dp`` and the input gradient ``dx``. ``tap``
+    ``out`` (which ``forward`` relus in place), at stride 2 the im2col
+    matrix ``col``; for dec0 the upsampled encoder features ``up``, and for
+    dec1 and dec2 the low-resolution input ``cat`` (the features and the
+    previous head's map) and one output phase's sum ``ph``. Backward: the
+    output gradient on the input's grid ``dg`` (at stride 1 with two zero
+    spare columns, for dw, one such grid per output phase with upsampling;
+    at stride 2 zero-upsampled, for dx), the padded output gradient ``dp``
+    (one per phase with upsampling) and the input gradient ``dx``. ``tap``
     holds one shifted product at a time."""
 
     def __init__(self):
@@ -109,53 +119,105 @@ def _pad(xp: np.ndarray, x: np.ndarray, pad_mode: str) -> np.ndarray:
     return xp
 
 
+def _padded(x, pad_mode, workspace, kind):
+    """(C, H, W) x padded by one into the ``kind`` buffer, (C, H+3, W+2),
+    and flattened: for every shift (di, dj) up to (2, 2), the (H, W+2) grid
+    starting at row di, column dj is then the contiguous slice of H*(W+2)
+    elements at offset di*(W+2)+dj of each row, the spare row keeping the
+    last one in bounds."""
+    cin, h, wd = x.shape
+    return _pad(workspace.buffer(kind, (cin, h + 3, wd + 2)), x,
+                pad_mode).reshape(cin, -1)
+
+
 def _tap_offsets(wd: int):
-    """Where tap (di, dj) starts in a flattened (C, H+3, W+2) padded map."""
+    """Where tap (di, dj) of a 3x3 kernel starts in a flattened padded map
+    of width W (_padded)."""
     return [di * (wd + 2) + dj for di in range(3) for dj in range(3)]
 
 
-def _shifted_conv(x, taps, pad_mode, workspace, pad_kind, out_kind):
-    """Stride-1 3x3 convolution of (C, H, W) x as nine shifted GEMMs: the
-    sum over taps k = 3*di + dj of taps[k] @ (x padded by one, shifted by
-    (di, dj)). x is padded once into the ``pad_kind`` buffer, (C, H+3, W+2):
-    in its flattened rows every shift is the contiguous slice of H*(W+2)
-    elements at offset di*(W+2)+dj, the spare row keeping the last one in
-    bounds. The sum lands on an (H, W+2) grid in ``out_kind``, whose 2 spare
-    columns the returned view drops. Returns (out view, flattened padded
-    x)."""
-    cin, h, wd = x.shape
-    n = h * (wd + 2)
-    flat = _pad(workspace.buffer(pad_kind, (cin, h + 3, wd + 2)), x,
-                pad_mode).reshape(cin, -1)
-    out = workspace.buffer(out_kind, (taps.shape[1], n))
-    tap = workspace.buffer("tap", out.shape)
-    offsets = _tap_offsets(wd)
-    np.matmul(taps[0], flat[:, :n], out=out)
-    for k in range(1, 9):
-        out += np.matmul(taps[k], flat[:, offsets[k]:offsets[k] + n], out=tap)
-    return out.reshape(-1, h, wd + 2)[:, :, :wd], flat
+# Row d of a 3x3 kernel on the nearest-upsampled grid reads low-resolution
+# row i-1+p+r for output row 2i+p where _MERGE_1D[p, r, d] = 1: phase 0
+# reads row i-1 with d = 0 and row i with d = 1, 2; phase 1 reads row i with
+# d = 0, 1 and row i+1 with d = 2. Columns alike, so _MERGE[4*(2*pi+pj) +
+# 2*ri+rj, 3*di+dj] = 1 where phase (pi, pj)'s tap (ri, rj) takes kernel
+# tap (di, dj).
+_MERGE_1D = np.array([[[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]],
+                      [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]])
+_MERGE = np.einsum("pra,qsb->pqrsab", _MERGE_1D, _MERGE_1D).reshape(16, 9)
+
+
+def _phase_taps(w):
+    """The 2x2 kernels of the four output phases of a 3x3 conv w on a
+    nearest-upsampled input, (16, Cout, Cin), in _MERGE's row order. One
+    small GEMM: merging tap by tap with indexing costs more than a whole
+    conv of a 16x16 input."""
+    cout, cin = w.shape[:2]
+    return (_MERGE @ w.reshape(cout * cin, 9).T).reshape(16, cout, cin)
+
+
+def _phase_offsets(wd: int):
+    """Where each _phase_taps tap starts in a flattened padded low-resolution
+    map of width W (_padded): phase (pi, pj)'s tap (ri, rj) at row pi+ri,
+    column pj+rj."""
+    return [(pi + ri) * (wd + 2) + pj + rj for pi in (0, 1) for pj in (0, 1)
+            for ri in (0, 1) for rj in (0, 1)]
+
+
+def _shifted_conv(flat, taps, offsets, out, tap):
+    """The sum over k of taps[k] @ flat[:, offsets[k]:offsets[k] + n], one
+    GEMM per tap (Anderson et al. 2017), written into (Cout, n) out; tap
+    holds one product at a time. Returns out."""
+    n = out.shape[1]
+    np.matmul(taps[0], flat[:, offsets[0]:offsets[0] + n], out=out)
+    for t, o in zip(taps[1:], offsets[1:]):
+        out += np.matmul(t, flat[:, o:o + n], out=tap)
+    return out
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1,
-           pad_mode: str = "zero", workspace: ConvWorkspace | None = None):
-    """3x3 convolution, pad 1. Returns (out, cache for conv2d_backward).
+           pad_mode: str = "zero", workspace: ConvWorkspace | None = None,
+           upsample: bool = False):
+    """3x3 convolution, pad 1, of x or, with upsample (at stride 1), of its
+    nearest 2x upsampling. Returns (out, cache for conv2d_backward).
 
-    Stride 1 runs nine shifted GEMMs on the padded input (_shifted_conv);
-    stride 2 multiplies by the im2col matrix. With no workspace every buffer
-    is freshly allocated. With one, the padded input, the im2col matrix and
-    the output are written into its ``xp``, ``col`` and ``out`` buffers, and
-    conv2d_backward takes its buffers from it too: the output and the cache
-    are then valid only until the next conv2d call with that same
-    workspace."""
+    Stride 1 sums nine shifted GEMMs on the padded input (_shifted_conv);
+    stride 2 multiplies by the im2col matrix. With upsample, output phase
+    (pi, pj), out[:, pi::2, pj::2], is a 2x2 conv of the padded x whose taps
+    are merged from the 3x3 kernel (_phase_taps): four shifted GEMMs per
+    phase, so the upsampled input is never built (Shi et al. 2016). With no
+    workspace every buffer is freshly allocated. With one, the padded input,
+    the im2col matrix, the phase sums and the output are written into its
+    ``xp``, ``col``, ``ph`` and ``out`` buffers, and conv2d_backward takes
+    its buffers from it too: the output and the cache are then valid only
+    until the next conv2d call with that same workspace."""
+    if upsample and stride != 1:
+        raise ValueError("upsample needs stride 1")
     if workspace is None:
         workspace = ConvWorkspace()
     cin, h, wd = x.shape
     cout = w.shape[0]
     if stride == 1:
-        taps = w.transpose(2, 3, 0, 1).reshape(9, cout, cin)
-        out, flat = _shifted_conv(x, taps, pad_mode, workspace, "xp", "out")
-        out += b[:, None, None]
-        return out, (flat, x.shape, w, stride, pad_mode, workspace)
+        n = h * (wd + 2)
+        flat = _padded(x, pad_mode, workspace, "xp")
+        cache = (flat, x.shape, w, stride, pad_mode, workspace, upsample)
+        tap = workspace.buffer("tap", (cout, n))
+        if not upsample:
+            out = _shifted_conv(flat, w.transpose(2, 3, 0, 1).reshape(
+                9, cout, cin), _tap_offsets(wd),
+                workspace.buffer("out", (cout, n)), tap)
+            out = out.reshape(cout, h, wd + 2)[:, :, :wd]
+            out += b[:, None, None]
+            return out, cache
+        taps, offsets = _phase_taps(w), _phase_offsets(wd)
+        ph = workspace.buffer("ph", (cout, n))
+        out = workspace.buffer("out", (cout, 2 * h, 2 * wd))
+        for p in range(4):
+            _shifted_conv(flat, taps[4 * p:4 * p + 4],
+                          offsets[4 * p:4 * p + 4], ph, tap)
+            np.add(ph.reshape(cout, h, wd + 2)[:, :, :wd], b[:, None, None],
+                   out=out[:, p // 2::2, p % 2::2])
+        return out, cache
     xp = _pad(workspace.buffer("xp", (cin, h + 2, wd + 2)), x, pad_mode)
     ho, wo = h // stride, wd // stride
     col = workspace.buffer("col", (cin, 3, 3, ho, wo))
@@ -167,7 +229,7 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1,
     out = workspace.buffer("out", (cout, ho, wo))
     np.matmul(w.reshape(cout, cin * 9), col2, out=out.reshape(cout, ho * wo))
     out += b[:, None, None]
-    return out, (col2, x.shape, w, stride, pad_mode, workspace)
+    return out, (col2, x.shape, w, stride, pad_mode, workspace, upsample)
 
 
 def conv2d_backward(dout: np.ndarray, cache, input_grad: bool = True):
@@ -180,31 +242,59 @@ def conv2d_backward(dout: np.ndarray, cache, input_grad: bool = True):
     input. dx is the transposed convolution: _shifted_conv on the output
     gradient, padded the same way, with the kernel flipped and transposed;
     a strided conv samples the stride-1 conv, so there the output gradient
-    is first zero-upsampled to the input's grid."""
-    xs, xshape, w, stride, pad_mode, workspace = cache
+    is first zero-upsampled to the input's grid. With upsample, each phase
+    gives the gradient of its merged taps the same way, which _MERGE folds
+    back into dw; dx sums the four phases' transposed convs, each phase tap
+    at offset (a, b) read back at (2-a, 2-b) of that phase's padded output
+    gradient, and lands on the low-resolution grid."""
+    xs, xshape, w, stride, pad_mode, workspace, upsample = cache
     cin, h, wd = xshape
-    cout, ho, wo = dout.shape
-    db = dout.reshape(cout, ho * wo).sum(axis=1)
-    if stride == 1:
-        n = h * (wd + 2)
-        dg = workspace.buffer("dg", (cout, h, wd + 2))
-        dg[:, :, :wd] = dout
-        dg[:, :, wd:] = 0.0
-        dg = dg.reshape(cout, n)
-        dw = np.stack([dg @ xs[:, o:o + n].T for o in _tap_offsets(wd)],
-                      axis=2).reshape(w.shape)
+    cout = dout.shape[0]
+    n = h * (wd + 2)
+    db = dout.reshape(cout, -1).sum(axis=1)
+    if stride != 1:
+        dw = (dout.reshape(cout, -1) @ xs.T).reshape(w.shape)
     else:
-        dw = (dout.reshape(cout, ho * wo) @ xs.T).reshape(w.shape)
+        # the output gradient of each phase (one without upsample) on the
+        # padded input's (H, W+2) grid, zero in the spare columns
+        s = 2 if upsample else 1
+        dg = workspace.buffer("dg", (s * s, cout, h, wd + 2))
+        for p in range(s * s):
+            dg[p, :, :, :wd] = dout[:, p // s::s, p % s::s]
+        dg[..., wd:] = 0.0
+        dg = dg.reshape(s * s, cout, n)
+        offsets = _phase_offsets(wd) if upsample else _tap_offsets(wd)
+        per_phase = len(offsets) // (s * s)
+        dk = np.stack([dg[k // per_phase] @ xs[:, o:o + n].T
+                       for k, o in enumerate(offsets)])
+        dw = (dk.reshape(16, -1).T @ _MERGE if upsample
+              else dk.transpose(1, 2, 0)).reshape(w.shape)
     if not input_grad:
         return None, dw, db
-    if stride != 1:
-        up = workspace.buffer("dg", (cout, h, wd))
-        up.fill(0.0)
-        up[:, :ho * stride:stride, :wo * stride:stride] = dout
-        dout = up
-    taps = w[:, :, ::-1, ::-1].transpose(2, 3, 1, 0).reshape(9, cin, cout)
-    dx, _ = _shifted_conv(dout, taps, pad_mode, workspace, "dp", "dx")
-    return dx, dw, db
+    dx = workspace.buffer("dx", (cin, n))
+    tap = workspace.buffer("tap", (cin, n))
+    if upsample:
+        dp = workspace.buffer("dp", (cout, 4, h + 3, wd + 2))
+        for p in range(4):
+            _pad(dp[:, p], dout[:, p // 2::2, p % 2::2], pad_mode)
+        # phase p's padded gradient starts at p*size; (2-a)*(W+2) + 2-b
+        # is 2*(W+3) minus the forward offset a*(W+2) + b
+        size = (h + 3) * (wd + 2)
+        offsets = [k // 4 * size + 2 * (wd + 3) - o
+                   for k, o in enumerate(_phase_offsets(wd))]
+        _shifted_conv(dp.reshape(cout, -1), _phase_taps(w).transpose(0, 2, 1),
+                      offsets, dx, tap)
+    else:
+        if stride != 1:
+            up = workspace.buffer("dg", (cout, h, wd))
+            up.fill(0.0)
+            up[:, :dout.shape[1] * stride:stride,
+               :dout.shape[2] * stride:stride] = dout
+            dout = up
+        taps = w[:, :, ::-1, ::-1].transpose(2, 3, 1, 0).reshape(9, cin, cout)
+        _shifted_conv(_padded(dout, pad_mode, workspace, "dp"), taps,
+                      _tap_offsets(wd), dx, tap)
+    return dx.reshape(cin, h, wd + 2)[:, :, :wd], dw, db
 
 
 def conv1x1(x: np.ndarray, w: np.ndarray, b: float) -> np.ndarray:
@@ -367,7 +457,7 @@ def forward(img: np.ndarray, params: np.ndarray, cfg: ArchConfig,
 
     ``workspace`` (from new_workspace) lends every conv layer its reusable
     buffers: the padded inputs and im2col matrices and also the activations
-    and upsampled inputs in the cache are views of it, valid only until the
+    and decoder inputs in the cache are views of it, valid only until the
     next forward with that same workspace (p1, p2 and p3 are fresh arrays).
     Without one every buffer is fresh, as concurrent callers need."""
     img = np.asarray(img, dtype=np.float64)
@@ -378,17 +468,16 @@ def forward(img: np.ndarray, params: np.ndarray, cfg: ArchConfig,
     ws = new_workspace() if workspace is None else workspace
     pv = param_views(params, cfg)
 
-    def conv_relu(x, name, stride):
+    def conv_relu(x, name, stride, upsample=False):
         out, c = conv2d(x, pv[name + "_w"], pv[name + "_b"], stride, pm,
-                        ws[name])
+                        ws[name], upsample)
         return c, relu(out, out)
 
-    def up2_cat(d, p, name):
-        # up2(concatenate([d, p[None]])) written into the layer's up buffer
-        c, hd, wd = d.shape
-        x = ws[name].buffer("up", (c + 1, 2 * hd, 2 * wd))
-        up2(d, x[:c])
-        up2(p[None], x[c:])
+    def cat(d, p, name):
+        # concatenate([d, p[None]]) written into the layer's cat buffer
+        x = ws[name].buffer("cat", (d.shape[0] + 1,) + d.shape[1:])
+        x[:-1] = d
+        x[-1] = p
         return x
 
     c0, e0 = conv_relu(img[None], "enc0", 2)
@@ -402,9 +491,9 @@ def forward(img: np.ndarray, params: np.ndarray, cfg: ArchConfig,
         fused, sa_cache = 0.5 * (f1 + u2), None
     c4, d1 = conv_relu(fused, "dec0", 2)
     p1 = expit(conv1x1(d1, pv["head1_w"], pv["head1_b"]))
-    c5, d2 = conv_relu(up2_cat(d1, p1, "dec1"), "dec1", 1)
+    c5, d2 = conv_relu(cat(d1, p1, "dec1"), "dec1", 1, upsample=True)
     p2 = expit(conv1x1(d2, pv["head2_w"], pv["head2_b"]))
-    c6, d3 = conv_relu(up2_cat(d2, p2, "dec2"), "dec2", 1)
+    c6, d3 = conv_relu(cat(d2, p2, "dec2"), "dec2", 1, upsample=True)
     p3 = expit(conv1x1(d3, pv["head3_w"], pv["head3_b"]))
     cache = dict(cfg=cfg, params=params, views=pv,
                  convs=(c0, c1, c2, c3, c4, c5, c6),
@@ -445,10 +534,10 @@ def backward(cache, dps) -> np.ndarray:
 
     # each decoder input's last channel is the previous head's map
     dd3 = _head_backward(dp3, p3, d3, "head3", params, grads)
-    dcat2 = up2_backward(conv_backward("dec2", dd3 * (d3 > 0), c6))
+    dcat2 = conv_backward("dec2", dd3 * (d3 > 0), c6)
     dd2 = dcat2[:-1] + _head_backward(dp2 + dcat2[-1], p2, d2, "head2",
                                       params, grads)
-    dcat1 = up2_backward(conv_backward("dec1", dd2 * (d2 > 0), c5))
+    dcat1 = conv_backward("dec1", dd2 * (d2 > 0), c5)
     dd1 = dcat1[:-1] + _head_backward(dp1 + dcat1[-1], p1, d1, "head1",
                                       params, grads)
     dfused = conv_backward("dec0", dd1 * (d1 > 0), c4)

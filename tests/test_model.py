@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,6 +169,73 @@ class TestForward:
         assert np.allclose(dw, want_dw, rtol=0, atol=1e-12)
         assert np.allclose(db, dout.sum(axis=(1, 2)), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("pad_mode", ["zero", "wrap"])
+    @pytest.mark.parametrize("h, w", [(4, 6), (5, 3)])
+    @pytest.mark.parametrize("first", [(13, 17), (2, 3)],
+                             ids=["larger", "smaller"])
+    def test_upsampling_matches_np_repeat_reference(self, pad_mode, h, w,
+                                                    first):
+        # out, dx, dw and db of the phase convs against the 3x3 conv of the
+        # np.repeat-upsampled input, on a workspace first used at a larger
+        # or a smaller shape and then filled with NaN; dx is the adjoint of
+        # the upsampling too, so each 2x2 block of the full-resolution input
+        # gradient sums into one pixel
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=(2, h, w))
+        wt = rng.normal(size=(3, 2, 3, 3))
+        b = rng.normal(size=3)
+        dout = rng.normal(size=(3, 2 * h, 2 * w))
+        mode = "constant" if pad_mode == "zero" else "wrap"
+        up = np.repeat(np.repeat(x, 2, axis=1), 2, axis=2)
+        upp = np.pad(up, ((0, 0), (1, 1), (1, 1)), mode=mode)
+        dp = np.pad(dout, ((0, 0), (1, 1), (1, 1)), mode=mode)
+        want_out = np.zeros(dout.shape) + b[:, None, None]
+        want_dup = np.zeros(up.shape)
+        want_dw = np.zeros(wt.shape)
+        for di in range(3):
+            for dj in range(3):
+                patch = upp[:, di:di + 2 * h, dj:dj + 2 * w]
+                want_out += np.einsum("oc,chw->ohw", wt[:, :, di, dj], patch)
+                want_dup += np.einsum("oc,ohw->chw", wt[:, :, 2 - di, 2 - dj],
+                                      dp[:, di:di + 2 * h, dj:dj + 2 * w])
+                want_dw[:, :, di, dj] = np.einsum("ohw,chw->oc", dout, patch)
+        want_dx = want_dup.reshape(2, h, 2, w, 2).sum(axis=(2, 4))
+        ws = ConvWorkspace()
+        out, cache = conv2d(rng.normal(size=(2,) + first), wt, b, 1, pad_mode,
+                            ws, upsample=True)
+        conv2d_backward(rng.normal(size=out.shape), cache)
+        for flat in ws._flat.values():
+            flat.fill(np.nan)
+        out, cache = conv2d(x, wt, b, 1, pad_mode, ws, upsample=True)
+        assert np.allclose(out, want_out, rtol=0, atol=1e-12)
+        dx, dw, db = conv2d_backward(dout, cache)
+        assert np.allclose(dx, want_dx, rtol=0, atol=1e-12)
+        assert np.allclose(dw, want_dw, rtol=0, atol=1e-12)
+        assert np.allclose(db, dout.sum(axis=(1, 2)), rtol=0, atol=1e-12)
+
+    def test_upsampling_needs_stride_1(self):
+        with pytest.raises(ValueError, match="stride 1"):
+            conv2d(np.zeros((1, 4, 4)), np.zeros((1, 1, 3, 3)), np.zeros(1),
+                   2, upsample=True)
+
+    def test_lent_workspace_forward_allocates_little(self):
+        # after a warm-up, a forward with a lent workspace allocates only
+        # its head maps and small vectors (about 0.6 MB at 128x128,
+        # channels 8, against about 7 MB with fresh buffers); one more
+        # full-resolution temporary of a decoder layer would cost 1.2 MB
+        cfg = ArchConfig(channels=8)
+        params = init_params(16, cfg)
+        img = np.random.default_rng(16).uniform(0, 1, (128, 128))
+        ws = new_workspace()
+        forward(img, params, cfg, ws)
+        tracemalloc.start()
+        try:
+            forward(img, params, cfg, ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_conv2d_called_once_per_layer_in_forward_only(self, monkeypatch):
         # the benchmark names conv layers by conv2d's call order in forward;
         # backward must not go through conv2d
@@ -266,8 +334,9 @@ class TestBackward:
 
     def test_workspace_backward_repeats(self):
         # backward rewrites every workspace buffer it reads (the padded and
-        # zero-columned output gradients, the stride-2 dxp), so a second call
-        # on one workspace-backed cache gives the same grads
+        # zero-columned output gradients, the stride-2 zero-upsampled one),
+        # so a second call on one workspace-backed cache gives the same
+        # grads
         cfg = ArchConfig(channels=4, pad_mode="wrap")
         params = init_params(9, cfg)
         rng = np.random.default_rng(9)
@@ -278,12 +347,15 @@ class TestBackward:
         g2 = backward(cache, dps)
         assert np.array_equal(g1, g2)
 
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_skipped_input_grad_keeps_weight_grads(self, stride):
+    @pytest.mark.parametrize("stride, upsample",
+                             [(1, False), (2, False), (1, True)],
+                             ids=["1", "2", "up"])
+    def test_skipped_input_grad_keeps_weight_grads(self, stride, upsample):
         rng = np.random.default_rng(10)
         x = rng.normal(size=(1, 16, 16))
         w = rng.normal(size=(4, 1, 3, 3))
-        out, cache = conv2d(x, w, rng.normal(size=4), stride)
+        out, cache = conv2d(x, w, rng.normal(size=4), stride,
+                            upsample=upsample)
         dout = rng.normal(size=out.shape)
         dx, dw, db = conv2d_backward(dout, cache)
         skipped, dw0, db0 = conv2d_backward(dout, cache, input_grad=False)
@@ -291,16 +363,19 @@ class TestBackward:
         assert np.array_equal(dw, dw0) and np.array_equal(db, db0)
 
     @pytest.mark.parametrize("pad_mode", ["zero", "wrap"])
-    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("stride, upsample",
+                             [(1, False), (2, False), (1, True)],
+                             ids=["1", "2", "up"])
     @pytest.mark.parametrize("h, w", [(8, 12), (9, 7)])
-    def test_input_grad_is_the_adjoint(self, pad_mode, stride, h, w):
+    def test_input_grad_is_the_adjoint(self, pad_mode, stride, upsample, h,
+                                       w):
         # conv2d(x) - b is linear in x, so its input gradient is the adjoint:
         # <conv2d(x) - b, dout> == <x, dx> for every x and dout
         rng = np.random.default_rng(13)
         x = rng.normal(size=(2, h, w))
         wt = rng.normal(size=(3, 2, 3, 3))
         b = rng.normal(size=3)
-        out, cache = conv2d(x, wt, b, stride, pad_mode)
+        out, cache = conv2d(x, wt, b, stride, pad_mode, upsample=upsample)
         dout = rng.normal(size=out.shape)
         dx, _, _ = conv2d_backward(dout, cache)
         lin = out - b[:, None, None]
