@@ -109,6 +109,12 @@ def _check_model_sides(dataset, path: Path) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
+# the SynthConfig field or gen_dataset argument that each synth flag sets
+_SYNTH_FLAGS = {"n": "n", "seed": "seed", "size": "size",
+                "irregularity": "irregularity", "noise_sigma": "noise",
+                "distractors": "distractors"}
+
+
 def cmd_synth(args) -> int:
     try:
         cfg = SynthConfig(size=args.size, irregularity=args.irregularity,
@@ -116,7 +122,10 @@ def cmd_synth(args) -> int:
                           seed=args.seed)
         samples, manifest = gen_dataset(cfg, args.n)
     except ValueError as exc:  # the flags are synth's only input
-        raise UsageError(str(exc)) from None
+        # SynthConfig's and gen_dataset's messages start with the field name
+        field, _, rest = str(exc).partition(" ")
+        flag = _SYNTH_FLAGS.get(field)
+        raise UsageError(f"--{flag} {rest}" if flag else str(exc)) from None
     write_dataset(samples, manifest, Path(args.out))
     print(f"wrote {len(samples)} samples to {args.out}")
     return 0

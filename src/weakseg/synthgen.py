@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,14 +39,26 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # each message starts with the field name
         if self.radius_range[0] < 3:
-            raise ValueError("lesion radius must be >= 3")
+            raise ValueError(f"radius_range must start at >= 3, got "
+                             f"{self.radius_range}")
         if self.contrast_range[0] == 0 and self.contrast_range[1] == 0:
-            raise ValueError("contrast must be nonzero")
+            raise ValueError("contrast_range must not be (0, 0)")
         if not (0.0 <= self.irregularity < 1.0):
-            raise ValueError("irregularity must lie in [0, 1)")
+            raise ValueError(f"irregularity must lie in [0, 1), got "
+                             f"{self.irregularity}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be non-negative and finite, "
+                             f"got {self.noise_sigma}")
+        if self.distractors < 0:
+            raise ValueError(f"distractors must be >= 0, got "
+                             f"{self.distractors}")
         if not (0.0 <= self.dark_prob <= 1.0):
-            raise ValueError("dark_prob must lie in [0, 1]")
+            raise ValueError(f"dark_prob must lie in [0, 1], got "
+                             f"{self.dark_prob}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -152,7 +165,9 @@ def gen_lesion(cfg: SynthConfig, rng: np.random.Generator,
     radius = rng.uniform(*cfg.radius_range)
     margin = radius * (1.0 + cfg.irregularity) + 2.0
     if 2 * margin >= s:
-        raise ValueError(f"lesion radius {radius:.1f} does not fit a {s}px grid")
+        raise ValueError(f"size {s} is too small for a lesion of radius "
+                         f"{radius:.1f}, which needs more than "
+                         f"{2 * margin:.1f} px")
     center = (rng.uniform(margin, s - margin), rng.uniform(margin, s - margin))
     gt = _star_mask(s, center, radius, cfg.irregularity, rng)
     contrast = rng.uniform(*cfg.contrast_range)
@@ -187,7 +202,7 @@ def gen_dataset(cfg: SynthConfig, n: int):
     """Generate n samples with per-sample derived RNG streams; returns
     (samples, manifest CSV text)."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ValueError(f"n must be >= 1, got {n}")
     samples = []
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

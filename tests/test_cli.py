@@ -397,6 +397,21 @@ class TestGradcheckAndUsage:
                    "--image-id", "000", "--width", "0", "--height", "32",
                    "--out", str(tmp_path / "e.pgm")) == 1
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--n", "0"], "--n must be >= 1, got 0"),
+        (["--size", "8"], "--size 8 is too small for a lesion"),
+        (["--noise", "-1"], "--noise must be non-negative and finite"),
+        (["--noise", "nan"], "--noise must be non-negative and finite"),
+        (["--distractors", "-1"], "--distractors must be >= 0"),
+        (["--irregularity", "1"], "--irregularity must lie in [0, 1)"),
+        (["--seed", "-1"], "--seed must be >= 0"),
+    ])
+    def test_bad_synth_flag_is_named(self, tmp_path, capsys, flags, named):
+        assert run("synth", "--n", "2", *flags,
+                   "--out", str(tmp_path / "s")) == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
     def test_missing_file_is_data_error(self, tmp_path):
         assert run("segment-cv", "--image", str(tmp_path / "absent.pgm"),
                    "--init", str(tmp_path / "absent.pgm"),
