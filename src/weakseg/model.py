@@ -72,14 +72,15 @@ class ConvWorkspace:
     call needs more and viewed at the call's shape, so inputs of varying
     size reuse it too. Forward: the padded input ``xp``, the conv output
     ``out`` (which ``forward`` relus in place), at stride 2 the im2col
-    matrix ``col``; for dec0 the upsampled encoder features ``up``, and for
-    dec1 and dec2 the low-resolution input ``cat`` (the features and the
-    previous head's map) and one output phase's sum ``ph``. Backward: the
-    output gradient on the input's grid ``dg`` (at stride 1 with two zero
-    spare columns, for dw, one such grid per output phase with upsampling;
-    at stride 2 zero-upsampled, for dx), the padded output gradient ``dp``
-    (one per phase with upsampling) and the input gradient ``dx``. ``tap``
-    holds one shifted product at a time."""
+    matrix ``col`` and at stride 1 one output phase's shifted-GEMM sum
+    ``ph`` (the whole output without upsampling); for dec0 the upsampled
+    encoder features ``up``, and for dec1 and dec2 the low-resolution input
+    ``cat`` (the features and the previous head's map). Backward: the output
+    gradient on the input's grid ``dg`` (at stride 1 with two zero spare
+    columns, one grid per output phase, for dw; at stride 2 zero-upsampled,
+    for dx), the padded output gradient ``dp`` (one per output phase) and
+    the input gradient ``dx``. ``tap`` holds one shifted product at a
+    time."""
 
     def __init__(self):
         self._flat = {}
@@ -119,20 +120,12 @@ def _pad(xp: np.ndarray, x: np.ndarray, pad_mode: str) -> np.ndarray:
     return xp
 
 
-def _padded(x, pad_mode, workspace, kind):
-    """(C, H, W) x padded by one into the ``kind`` buffer, (C, H+3, W+2),
-    and flattened: for every shift (di, dj) up to (2, 2), the (H, W+2) grid
-    starting at row di, column dj is then the contiguous slice of H*(W+2)
-    elements at offset di*(W+2)+dj of each row, the spare row keeping the
-    last one in bounds."""
-    cin, h, wd = x.shape
-    return _pad(workspace.buffer(kind, (cin, h + 3, wd + 2)), x,
-                pad_mode).reshape(cin, -1)
-
-
 def _tap_offsets(wd: int):
     """Where tap (di, dj) of a 3x3 kernel starts in a flattened padded map
-    of width W (_padded)."""
+    of width W. The map is (C, H+3, W+2), padded by one (_pad): in each of
+    its flattened rows, the (H, W+2) grid starting at row di, column dj is
+    the contiguous slice of H*(W+2) elements at offset di*(W+2)+dj, the
+    spare row keeping the last one in bounds."""
     return [di * (wd + 2) + dj for di in range(3) for dj in range(3)]
 
 
@@ -158,7 +151,7 @@ def _phase_taps(w):
 
 def _phase_offsets(wd: int):
     """Where each _phase_taps tap starts in a flattened padded low-resolution
-    map of width W (_padded): phase (pi, pj)'s tap (ri, rj) at row pi+ri,
+    map of width W (_tap_offsets): phase (pi, pj)'s tap (ri, rj) at row pi+ri,
     column pj+rj."""
     return [(pi + ri) * (wd + 2) + pj + rj for pi in (0, 1) for pj in (0, 1)
             for ri in (0, 1) for rj in (0, 1)]
@@ -167,12 +160,22 @@ def _phase_offsets(wd: int):
 def _shifted_conv(flat, taps, offsets, out, tap):
     """The sum over k of taps[k] @ flat[:, offsets[k]:offsets[k] + n], one
     GEMM per tap (Anderson et al. 2017), written into (Cout, n) out; tap
-    holds one product at a time. Returns out."""
+    holds one product at a time."""
     n = out.shape[1]
     np.matmul(taps[0], flat[:, offsets[0]:offsets[0] + n], out=out)
     for t, o in zip(taps[1:], offsets[1:]):
         out += np.matmul(t, flat[:, o:o + n], out=tap)
-    return out
+
+
+def _geometry(w, wd: int, upsample: bool):
+    """(s, taps, offsets) of a stride-1 conv w of an input of width W: the
+    output has s phases per axis, out[:, pi::s, pj::s] for phase s*pi+pj,
+    and phase p sums the k = len(taps) // s**2 taps[p*k:(p+1)*k], (Cout, Cin)
+    each, at the matching offsets of the flattened padded input."""
+    if upsample:
+        return 2, _phase_taps(w), _phase_offsets(wd)
+    cout, cin = w.shape[:2]
+    return 1, w.transpose(2, 3, 0, 1).reshape(9, cout, cin), _tap_offsets(wd)
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1,
@@ -187,7 +190,7 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1,
     are merged from the 3x3 kernel (_phase_taps): four shifted GEMMs per
     phase, so the upsampled input is never built (Shi et al. 2016). With no
     workspace every buffer is freshly allocated. With one, the padded input,
-    the im2col matrix, the phase sums and the output are written into its
+    the im2col matrix, each phase's sum and the output are written into its
     ``xp``, ``col``, ``ph`` and ``out`` buffers, and conv2d_backward takes
     its buffers from it too: the output and the cache are then valid only
     until the next conv2d call with that same workspace."""
@@ -198,26 +201,20 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1,
     cin, h, wd = x.shape
     cout = w.shape[0]
     if stride == 1:
-        n = h * (wd + 2)
-        flat = _padded(x, pad_mode, workspace, "xp")
-        cache = (flat, x.shape, w, stride, pad_mode, workspace, upsample)
-        tap = workspace.buffer("tap", (cout, n))
-        if not upsample:
-            out = _shifted_conv(flat, w.transpose(2, 3, 0, 1).reshape(
-                9, cout, cin), _tap_offsets(wd),
-                workspace.buffer("out", (cout, n)), tap)
-            out = out.reshape(cout, h, wd + 2)[:, :, :wd]
-            out += b[:, None, None]
-            return out, cache
-        taps, offsets = _phase_taps(w), _phase_offsets(wd)
+        s, taps, offsets = _geometry(w, wd, upsample)
+        k, n = len(taps) // (s * s), h * (wd + 2)
+        flat = _pad(workspace.buffer("xp", (cin, h + 3, wd + 2)), x,
+                    pad_mode).reshape(cin, -1)
         ph = workspace.buffer("ph", (cout, n))
-        out = workspace.buffer("out", (cout, 2 * h, 2 * wd))
-        for p in range(4):
-            _shifted_conv(flat, taps[4 * p:4 * p + 4],
-                          offsets[4 * p:4 * p + 4], ph, tap)
+        tap = workspace.buffer("tap", (cout, n))
+        out = workspace.buffer("out", (cout, s * h, s * wd))
+        for p in range(s * s):
+            _shifted_conv(flat, taps[p * k:p * k + k],
+                          offsets[p * k:p * k + k], ph, tap)
+            # the sum lands on an (H, W+2) grid; drop its 2 spare columns
             np.add(ph.reshape(cout, h, wd + 2)[:, :, :wd], b[:, None, None],
-                   out=out[:, p // 2::2, p % 2::2])
-        return out, cache
+                   out=out[:, p // s::s, p % s::s])
+        return out, (flat, x.shape, w, stride, pad_mode, workspace, upsample)
     xp = _pad(workspace.buffer("xp", (cin, h + 2, wd + 2)), x, pad_mode)
     ho, wo = h // stride, wd // stride
     col = workspace.buffer("col", (cin, 3, 3, ho, wo))
@@ -237,63 +234,53 @@ def conv2d_backward(dout: np.ndarray, cache, input_grad: bool = True):
     of a buffer of the cache's workspace (one of its own when conv2d had
     none), valid until the next backward into that buffer.
 
-    At stride 1, dw[:, :, di, dj] is the output gradient, laid on the padded
-    grid with zero spare columns, times tap (di, dj)'s slice of the padded
-    input. dx is the transposed convolution: _shifted_conv on the output
-    gradient, padded the same way, with the kernel flipped and transposed;
-    a strided conv samples the stride-1 conv, so there the output gradient
-    is first zero-upsampled to the input's grid. With upsample, each phase
-    gives the gradient of its merged taps the same way, which _MERGE folds
-    back into dw; dx sums the four phases' transposed convs, each phase tap
-    at offset (a, b) read back at (2-a, 2-b) of that phase's padded output
-    gradient, and lands on the low-resolution grid."""
+    At stride 1, the gradient of a tap is its phase's output gradient, laid
+    on the padded grid with zero spare columns, times the tap's slice of the
+    padded input; with upsample, _MERGE folds the phase taps' gradients back
+    into dw. dx is the transposed convolution: _shifted_conv with each tap
+    transposed, on its phase's output gradient padded the same way, the tap
+    read at offset (a, b) in the forward read at (2-a, 2-b). With upsample it
+    lands on the low-resolution grid. A strided conv samples the stride-1
+    conv, so there the output gradient is first zero-upsampled to the
+    input's grid."""
     xs, xshape, w, stride, pad_mode, workspace, upsample = cache
     cin, h, wd = xshape
     cout = dout.shape[0]
     n = h * (wd + 2)
     db = dout.reshape(cout, -1).sum(axis=1)
+    s, taps, offsets = _geometry(w, wd, upsample)
+    k = len(taps) // (s * s)
     if stride != 1:
         dw = (dout.reshape(cout, -1) @ xs.T).reshape(w.shape)
     else:
-        # the output gradient of each phase (one without upsample) on the
-        # padded input's (H, W+2) grid, zero in the spare columns
-        s = 2 if upsample else 1
         dg = workspace.buffer("dg", (s * s, cout, h, wd + 2))
         for p in range(s * s):
             dg[p, :, :, :wd] = dout[:, p // s::s, p % s::s]
         dg[..., wd:] = 0.0
         dg = dg.reshape(s * s, cout, n)
-        offsets = _phase_offsets(wd) if upsample else _tap_offsets(wd)
-        per_phase = len(offsets) // (s * s)
-        dk = np.stack([dg[k // per_phase] @ xs[:, o:o + n].T
-                       for k, o in enumerate(offsets)])
+        dk = np.stack([dg[i // k] @ xs[:, o:o + n].T
+                       for i, o in enumerate(offsets)])
         dw = (dk.reshape(16, -1).T @ _MERGE if upsample
               else dk.transpose(1, 2, 0)).reshape(w.shape)
     if not input_grad:
         return None, dw, db
+    if stride != 1:
+        up = workspace.buffer("dg", (cout, h, wd))
+        up.fill(0.0)
+        up[:, :dout.shape[1] * stride:stride,
+           :dout.shape[2] * stride:stride] = dout
+        dout = up
+    dp = workspace.buffer("dp", (cout, s * s, h + 3, wd + 2))
+    for p in range(s * s):
+        _pad(dp[:, p], dout[:, p // s::s, p % s::s], pad_mode)
+    # phase p's padded gradient starts at p*size, and (2-a)*(W+2) + 2-b is
+    # 2*(W+3) minus the forward offset a*(W+2) + b
+    size = (h + 3) * (wd + 2)
     dx = workspace.buffer("dx", (cin, n))
-    tap = workspace.buffer("tap", (cin, n))
-    if upsample:
-        dp = workspace.buffer("dp", (cout, 4, h + 3, wd + 2))
-        for p in range(4):
-            _pad(dp[:, p], dout[:, p // 2::2, p % 2::2], pad_mode)
-        # phase p's padded gradient starts at p*size; (2-a)*(W+2) + 2-b
-        # is 2*(W+3) minus the forward offset a*(W+2) + b
-        size = (h + 3) * (wd + 2)
-        offsets = [k // 4 * size + 2 * (wd + 3) - o
-                   for k, o in enumerate(_phase_offsets(wd))]
-        _shifted_conv(dp.reshape(cout, -1), _phase_taps(w).transpose(0, 2, 1),
-                      offsets, dx, tap)
-    else:
-        if stride != 1:
-            up = workspace.buffer("dg", (cout, h, wd))
-            up.fill(0.0)
-            up[:, :dout.shape[1] * stride:stride,
-               :dout.shape[2] * stride:stride] = dout
-            dout = up
-        taps = w[:, :, ::-1, ::-1].transpose(2, 3, 1, 0).reshape(9, cin, cout)
-        _shifted_conv(_padded(dout, pad_mode, workspace, "dp"), taps,
-                      _tap_offsets(wd), dx, tap)
+    _shifted_conv(dp.reshape(cout, -1), taps.transpose(0, 2, 1),
+                  [i // k * size + 2 * (wd + 3) - o
+                   for i, o in enumerate(offsets)],
+                  dx, workspace.buffer("tap", (cin, n)))
     return dx.reshape(cin, h, wd + 2)[:, :, :wd], dw, db
 
 
