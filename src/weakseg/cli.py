@@ -351,12 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic lesion dataset")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=SynthConfig.seed)
     p.add_argument("--out", required=True)
-    p.add_argument("--size", type=int, default=64)
-    p.add_argument("--irregularity", type=float, default=0.15)
-    p.add_argument("--noise", type=float, default=0.05)
-    p.add_argument("--distractors", type=int, default=0)
+    p.add_argument("--size", type=int, default=SynthConfig.size)
+    p.add_argument("--irregularity", type=float,
+                   default=SynthConfig.irregularity)
+    p.add_argument("--noise", type=float, default=SynthConfig.noise_sigma)
+    p.add_argument("--distractors", type=int, default=SynthConfig.distractors)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="run the weakly-supervised training")

@@ -1,15 +1,17 @@
-"""Core raster types, PGM codec, and geometric resampling.
+"""Core raster types, PGM codec, affine transforms and the bilinear warp.
 
 Images are 2-D float64 arrays of shape (height, width) with intensities in
 [0, 1]. Binary masks are bool arrays, tri-label masks int8 arrays (see
 ``BG``/``FG``/``IGNORE``). Point coordinates are (x, y) with the center of
 pixel (row r, col c) at (c + 0.5, r + 0.5). Affine transforms are 2x3
-matrices mapping source coordinates to output coordinates.
+matrices mapping source coordinates to output coordinates; ``apply_affine``
+warps an image by one with ``scipy.ndimage.affine_transform``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.ndimage import affine_transform
 
 # tri-mask labels
 BG = 0
@@ -153,51 +155,18 @@ def affine_apply_points(t: np.ndarray, pts: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Resampling
 
-def _bilinear_sample(img: np.ndarray, xs: np.ndarray, ys: np.ndarray,
-                     fill: float) -> np.ndarray:
-    """Sample img at continuous (x, y) points; out-of-grid neighbors read
-    fill."""
-    h, w = img.shape
-    u = xs - 0.5
-    v = ys - 0.5
-    x0 = np.floor(u).astype(np.int64)
-    y0 = np.floor(v).astype(np.int64)
-    fx = u - x0
-    fy = v - y0
-    out = np.zeros(xs.shape, dtype=np.float64)
-    for dy in (0, 1):
-        for dx in (0, 1):
-            xi = x0 + dx
-            yi = y0 + dy
-            wgt = (fx if dx else 1.0 - fx) * (fy if dy else 1.0 - fy)
-            inside = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
-            vals = np.where(inside, img[np.clip(yi, 0, h - 1),
-                                        np.clip(xi, 0, w - 1)], fill)
-            out += wgt * vals
-    return out
-
-
-def resample_labels(mask: np.ndarray, target) -> np.ndarray:
-    """Nearest-neighbor resize preserving the label set (bool or int masks)."""
-    tw, th = int(target[0]), int(target[1])
-    if tw < 1 or th < 1:
-        raise ValueError(f"target dimensions must be >= 1, got {tw}x{th}")
-    h, w = mask.shape
-    xs = (np.arange(tw) + 0.5) * (w / tw)
-    ys = (np.arange(th) + 0.5) * (h / th)
-    xi = np.minimum(np.floor(xs).astype(np.int64), w - 1)
-    yi = np.minimum(np.floor(ys).astype(np.int64), h - 1)
-    return mask[np.ix_(yi, xi)]
-
-
 def apply_affine(img: np.ndarray, t: np.ndarray, out_dims,
                  fill: float = 0.0) -> np.ndarray:
-    """Warp img by t; output pixel x takes the bilinear sample at t^-1(x)."""
+    """Warp img by t; output pixel x takes the bilinear sample at t^-1(x),
+    where a neighbor off the source grid reads fill."""
     inv = affine_invert(t)
     ow, oh = int(out_dims[0]), int(out_dims[1])
     if ow < 1 or oh < 1:
         raise ValueError("output dimensions must be >= 1")
-    gx, gy = np.meshgrid(np.arange(ow) + 0.5, np.arange(oh) + 0.5)
-    sx = inv[0, 0] * gx + inv[0, 1] * gy + inv[0, 2]
-    sy = inv[1, 0] * gx + inv[1, 1] * gy + inv[1, 2]
-    return _bilinear_sample(np.asarray(img, dtype=np.float64), sx, sy, fill)
+    # scipy maps (row, col) indices, whose pixel centers sit at (r, c)
+    # rather than at (x, y) = (c + 0.5, r + 0.5)
+    m = inv[::-1, 1::-1]
+    offset = m.sum(axis=1) * 0.5 + inv[::-1, 2] - 0.5
+    return affine_transform(np.asarray(img, dtype=np.float64), m, offset,
+                            output_shape=(oh, ow), order=1,
+                            mode="grid-constant", cval=fill, prefilter=False)

@@ -17,6 +17,10 @@ import numpy as np
 from .imgcore import FG, IGNORE
 
 
+# bce_loss clamps predictions to [CLAMP_EPS, 1 - CLAMP_EPS] before the logs
+CLAMP_EPS = 1e-7
+
+
 class DegenerateRegionError(ValueError):
     """Raised when a region mean has (near) zero weight mass."""
 
@@ -25,7 +29,6 @@ class DegenerateRegionError(ValueError):
 class LossConfig:
     lambda1: float = 1.0
     lambda2: float = 3.0
-    clamp_eps: float = 1e-7
 
     def __post_init__(self):
         for name in ("lambda1", "lambda2"):
@@ -33,8 +36,6 @@ class LossConfig:
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(
                     f"{name} must be non-negative and finite, got {value}")
-        if not (0.0 < self.clamp_eps < 0.5):
-            raise ValueError("clamp_eps must lie in (0, 0.5)")
 
 
 @dataclass(frozen=True)
@@ -56,19 +57,19 @@ def _split_trimask(g: np.ndarray, p: np.ndarray):
     return valid, (g == FG).astype(np.float64)
 
 
-def bce_loss(p: np.ndarray, g: np.ndarray, clamp_eps: float = 1e-7) -> LossValueGrad:
+def bce_loss(p: np.ndarray, g: np.ndarray) -> LossValueGrad:
     """Mean binary cross entropy over non-IGNORE pixels, with the prediction
-    clamped to [eps, 1-eps] before the logarithms."""
+    clamped to [CLAMP_EPS, 1-CLAMP_EPS] before the logarithms."""
     p = np.asarray(p, dtype=np.float64)
     valid, tgt = _split_trimask(np.asarray(g), p)
     n = int(valid.sum())
     if n == 0:
         raise ValueError("all pixels are IGNORE")
-    pc = np.clip(p, clamp_eps, 1.0 - clamp_eps)
+    pc = np.clip(p, CLAMP_EPS, 1.0 - CLAMP_EPS)
     terms = tgt * np.log(pc) + (1.0 - tgt) * np.log1p(-pc)
     value = -float(terms[valid].sum()) / n
     grad = np.zeros_like(p)
-    unsat = valid & (p > clamp_eps) & (p < 1.0 - clamp_eps)
+    unsat = valid & (p > CLAMP_EPS) & (p < 1.0 - CLAMP_EPS)
     grad[unsat] = (-(tgt[unsat] / pc[unsat])
                    + (1.0 - tgt[unsat]) / (1.0 - pc[unsat])) / n
     return LossValueGrad(value=value, grad=grad)
@@ -145,7 +146,7 @@ def rls_loss(p: np.ndarray, img: np.ndarray, region: np.ndarray,
     return LossValueGrad(value=value / n, grad=grad)
 
 
-def seg_loss(preds, masks, clamp_eps: float = 1e-7):
+def seg_loss(preds, masks):
     """Deep-supervision segmentation loss: sum over the three scales of
     bce + iou. Returns (total value, list of per-scale gradients)."""
     if len(preds) != len(masks):
@@ -156,7 +157,7 @@ def seg_loss(preds, masks, clamp_eps: float = 1e-7):
         if np.asarray(p).shape != np.asarray(g).shape:
             raise ValueError(
                 f"shape mismatch: {np.asarray(p).shape} vs {np.asarray(g).shape}")
-        b = bce_loss(p, g, clamp_eps)
+        b = bce_loss(p, g)
         i = iou_loss(p, g)
         total += b.value + i.value
         grads.append(b.grad + i.grad)

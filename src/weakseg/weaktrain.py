@@ -24,8 +24,8 @@ from .imgcore import BG, FG, IGNORE, affine_compose, affine_rotation, \
 from .losses import DegenerateRegionError, LossConfig, rls_loss, seg_loss
 from .model import ArchConfig, adam_init, adam_step, backward, forward, \
     init_params, new_workspace
-from .recist import DegenerateAnnotationError, constrained_region, \
-    fit_ellipse, rasterize_ellipse, transform_annotation
+from .recist import DegenerateAnnotationError, fit_ellipse, \
+    rasterize_ellipse, transform_annotation
 from .synthgen import Sample
 
 
@@ -152,19 +152,11 @@ class TrainHistory:
 # ---------------------------------------------------------------------------
 # pseudo masks
 
-def make_pseudo_masks(pseudo: np.ndarray, dims_list):
-    """Nearest-downsample the full-resolution tri-mask to each head's dims.
-    dims_list gives (h, w) for p1, p2, p3; the last must match the input."""
-    h, w = pseudo.shape
-    out = []
-    for (th, tw) in dims_list:
-        if (h % th) or (w % tw) or (h // th) != (w // tw):
-            raise ValueError(f"dims ({th},{tw}) are not an integer scale of "
-                             f"({h},{w})")
-        out.append(imgcore.resample_labels(pseudo, (tw, th)))
-    if out and dims_list[-1] != (h, w):
-        raise ValueError("full-resolution head dims must match the pseudo mask")
-    return tuple(out)
+def make_pseudo_masks(pseudo: np.ndarray):
+    """The full-resolution tri-mask at the three head scales (1/4, 1/2, 1):
+    nearest downsampling, which on integer scales picks each block's
+    center pixel. Returns views of pseudo."""
+    return pseudo[2::4, 2::4], pseudo[1::2, 1::2], pseudo
 
 
 def update_pseudo_mask(p: np.ndarray, emask: np.ndarray):
@@ -192,18 +184,18 @@ def _round4(x: float) -> int:
     return max(4, int(round(x / 4.0)) * 4)
 
 
-def augment(sample: Sample, rng: np.random.Generator, long_side=(32, 64)):
+def augment(sample: Sample, rng: np.random.Generator, long_side):
     """One random augmentation: affine (scale, rotation, resize so the long
     side lands in the configured range, translation keeping the lesion
-    on-grid), brightness/contrast jitter, Gaussian blur. The ellipse,
-    constrained region and pseudo mask are recomputed from the mapped
-    annotation: FG inside the re-rasterized ellipse, BG outside, and a
-    refined mask's IGNORE pixels, warped with the image (bilinear, kept where
-    >= 0.5), on top. update_pseudo_mask writes only FG or IGNORE inside the
-    ellipse and BG or IGNORE outside it, so this keeps the refinement. The
-    gt mask is not warped (training never reads it), so sample' has none.
-    After 10 failed draws the sample is returned unchanged. Returns
-    (sample', skipped)."""
+    on-grid), brightness/contrast jitter, Gaussian blur. sample' is built by
+    Sample.from_annotation from the mapped annotation, so its ellipse,
+    constrained region and pseudo mask are recomputed: FG inside the
+    re-rasterized ellipse, BG outside, and a refined mask's IGNORE pixels,
+    warped with the image (bilinear, kept where >= 0.5), on top.
+    update_pseudo_mask writes only FG or IGNORE inside the ellipse and BG or
+    IGNORE outside it, so this keeps the refinement. The gt mask is not
+    warped (training never reads it), so sample' has none. After 10 failed
+    draws the sample is returned unchanged. Returns (sample', skipped)."""
     h, w = sample.image.shape
     for _ in range(10):
         scale = rng.uniform(0.8, 1.2)
@@ -235,18 +227,15 @@ def augment(sample: Sample, rng: np.random.Generator, long_side=(32, 64)):
         img = np.clip((img - 0.5) * gain + 0.5 + brightness, 0.0, 1.0)
         if sigma > 1e-3:
             img = gaussian_filter(img, sigma, mode="nearest")
-        dims = (out_side, out_side)
-        emask = rasterize_ellipse(e, dims)
-        if not emask.any():
+        out = Sample.from_annotation(img, ann, sample_id=sample.sample_id,
+                                     meta=dict(sample.meta))
+        if not (out.pseudo == FG).any():
             continue
-        pseudo = np.where(emask, FG, BG).astype(np.int8)
         ignore = sample.pseudo == IGNORE
         if ignore.any():
-            pseudo[apply_affine(ignore, t, dims) >= 0.5] = IGNORE
-        region = constrained_region(e, dims)
-        return Sample(image=img, annotation=ann, ellipse=e, pseudo=pseudo,
-                      region=region, sample_id=sample.sample_id,
-                      meta=dict(sample.meta)), False
+            out.pseudo[apply_affine(ignore, t, (out_side, out_side))
+                       >= 0.5] = IGNORE
+        return out, False
     return sample, True
 
 
@@ -258,10 +247,8 @@ def _sample_losses(sample: Sample, params, cfg: TrainConfig, with_rls: bool,
     """(seg value, RLS value, grads); the RLS value is None when the region
     is degenerate, and the step then keeps only the segmentation loss."""
     p1, p2, p3, cache = forward(sample.image, params, cfg.arch, workspace)
-    dims = [p.shape for p in (p1, p2, p3)]
-    g1, g2, g3 = make_pseudo_masks(sample.pseudo, dims)
-    seg_val, seg_grads = seg_loss((p1, p2, p3), (g1, g2, g3),
-                                  cfg.loss.clamp_eps)
+    seg_val, seg_grads = seg_loss((p1, p2, p3),
+                                  make_pseudo_masks(sample.pseudo))
     rls_val = 0.0
     if with_rls:
         region = sample.region if cfg.rls_region == "constrained" \

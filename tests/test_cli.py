@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from weakseg import weaktrain
-from weakseg.cli import DataError, cli_main, load_dataset, write_dataset
+from weakseg.cli import DataError, build_parser, cli_main, load_dataset, \
+    write_dataset
 from weakseg.imgcore import decode_pgm, encode_pgm
 from weakseg.losses import DegenerateRegionError
 from weakseg.model import ArchConfig, init_params, load_model, save_model
@@ -71,6 +72,13 @@ class TestDatasetIo:
 
 
 class TestSynth:
+    def test_flag_defaults_are_synth_config_defaults(self):
+        args = build_parser().parse_args(["synth", "--n", "1", "--out", "d"])
+        want = SynthConfig()
+        assert (args.size, args.irregularity, args.noise, args.distractors,
+                args.seed) == (want.size, want.irregularity, want.noise_sigma,
+                               want.distractors, want.seed)
+
     def test_writes_layout(self, tmp_path):
         out = tmp_path / "d"
         assert run("synth", "--n", "2", "--seed", "3", "--size", "32",
@@ -425,6 +433,7 @@ class TestGradcheckAndUsage:
         ('{"arch": 4}', "'arch' must be a JSON object"),
         ('{"loss": {"rls_weight": 5}}', "'loss.rls_weight'"),
         ('{"batch": 4}', "'batch'"),
+        ('{"loss": {"clamp_eps": 1e-07}}', "'loss.clamp_eps'"),
         ('{"lr": NaN}', "lr must be positive and finite, got nan"),
     ])
     def test_bad_config_is_usage_error(self, dataset_dir, tmp_path, capsys,

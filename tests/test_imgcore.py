@@ -7,8 +7,8 @@ from hypothesis.extra import numpy as hnp
 from weakseg import imgcore
 from weakseg.imgcore import (DecodeError, affine_compose, affine_invert,
                              affine_rotation, affine_translation,
-                             apply_affine, decode_pgm, encode_pgm,
-                             resample_labels)
+                             affine_scaling, apply_affine, decode_pgm,
+                             encode_pgm)
 
 
 class TestPgmCodec:
@@ -66,30 +66,6 @@ class TestPgmCodec:
             decode_pgm(b"P5\n2 2\n255\n\x00\x00")
 
 
-class TestResample:
-    def test_identity_dims(self):
-        rng = np.random.default_rng(2)
-        img = rng.uniform(0, 1, (5, 7))
-        assert np.array_equal(resample_labels(img, (7, 5)), img)
-
-    def test_nearest_preserves_value_set(self):
-        rng = np.random.default_rng(3)
-        img = rng.choice([0.1, 0.5, 0.9], size=(6, 6))
-        out = resample_labels(img, (13, 9))
-        assert set(np.unique(out)) <= set(np.unique(img))
-
-    def test_nearest_commutes_with_monotone_map(self):
-        rng = np.random.default_rng(4)
-        img = rng.uniform(0, 1, (6, 8))
-        a = resample_labels(img, (11, 5)) ** 2
-        b = resample_labels(img ** 2, (11, 5))
-        assert np.array_equal(a, b)
-
-    def test_zero_target_rejected(self):
-        with pytest.raises(ValueError):
-            resample_labels(np.zeros((2, 2)), (0, 2))
-
-
 class TestAffine:
     def test_identity(self):
         rng = np.random.default_rng(5)
@@ -121,6 +97,39 @@ class TestAffine:
         back = apply_affine(apply_affine(img, t, (16, 16)),
                             affine_invert(t), (16, 16))
         assert np.abs(back[5:11, 5:11] - img[5:11, 5:11]).max() <= 2.0 / 255.0
+
+    def test_matches_per_pixel_bilinear_oracle(self):
+        # output pixel (r, c) samples t^-1 at its center (c + 0.5, r + 0.5);
+        # each of the four neighbors off the source grid reads fill. The
+        # source and output are non-square, the scale is anisotropic and
+        # the output's left and top edges fall partly off the source grid.
+        rng = np.random.default_rng(7)
+        img = rng.uniform(0, 1, (40, 56))
+        fill = 0.7
+        t = affine_compose(affine_translation(4.3, 3.1), affine_compose(
+            affine_rotation(0.35, center=(28.0, 20.0)),
+            affine_scaling(0.9, 0.6)))
+        out = apply_affine(img, t, (50, 30), fill=fill)
+        assert out.shape == (30, 50)
+        inv = affine_invert(t)
+        want = np.empty((30, 50))
+        partial = 0
+        for r in range(30):
+            for c in range(50):
+                sx, sy = inv @ (c + 0.5, r + 0.5, 1.0)
+                u, v = sx - 0.5, sy - 0.5
+                x0, y0 = int(np.floor(u)), int(np.floor(v))
+                fx, fy = u - x0, v - y0
+                acc, off = 0.0, 0
+                for yi, wy in ((y0, 1.0 - fy), (y0 + 1, fy)):
+                    for xi, wx in ((x0, 1.0 - fx), (x0 + 1, fx)):
+                        inside = 0 <= yi < 40 and 0 <= xi < 56
+                        acc += wy * wx * (img[yi, xi] if inside else fill)
+                        off += not inside
+                want[r, c] = acc
+                partial += 0 < off < 4
+        assert partial >= 20
+        assert np.abs(out - want).max() <= 1e-12
 
     def test_singular_transform_rejected(self):
         with pytest.raises(ValueError):

@@ -106,19 +106,22 @@ class TestPseudoMasks:
     def test_three_scales(self):
         pseudo = np.zeros((32, 32), dtype=np.int8)
         pseudo[8:24, 8:24] = FG
-        g1, g2, g3 = make_pseudo_masks(pseudo, [(8, 8), (16, 16), (32, 32)])
+        g1, g2, g3 = make_pseudo_masks(pseudo)
         assert g1.shape == (8, 8) and g2.shape == (16, 16)
         assert np.array_equal(g3, pseudo)
         # nearest downsampling preserves the label set and the block layout
         assert np.array_equal(g1[2:6, 2:6], np.full((4, 4), FG))
         assert g1.sum() == 16 * FG
 
-    def test_bad_dims(self):
-        pseudo = np.zeros((32, 32), dtype=np.int8)
-        with pytest.raises(ValueError):
-            make_pseudo_masks(pseudo, [(7, 7), (16, 16), (32, 32)])
-        with pytest.raises(ValueError):
-            make_pseudo_masks(pseudo, [(8, 8), (16, 16), (16, 16)])
+    def test_nearest_rule_on_non_square_mask(self):
+        # level k holds the pixel at floor((i + 0.5) * s) for scale s
+        rng = np.random.default_rng(9)
+        pseudo = rng.choice(np.array([BG, FG, IGNORE], dtype=np.int8),
+                            size=(16, 24))
+        for g, s in zip(make_pseudo_masks(pseudo), (4, 2, 1)):
+            rows = np.floor((np.arange(16 // s) + 0.5) * s).astype(int)
+            cols = np.floor((np.arange(24 // s) + 0.5) * s).astype(int)
+            assert np.array_equal(g, pseudo[np.ix_(rows, cols)])
 
     def test_update_rule(self):
         p = np.array([[0.9, 0.9, 0.1],
@@ -343,9 +346,7 @@ class TestTraining:
                     continue
                 p1, p2, p3, cache = forward(s.image, ref,
                                                         cfg.arch)
-                masks = make_pseudo_masks(s.pseudo,
-                                          [p.shape for p in (p1, p2, p3)])
-                _, dps = seg_loss((p1, p2, p3), masks, cfg.loss.clamp_eps)
+                _, dps = seg_loss((p1, p2, p3), make_pseudo_masks(s.pseudo))
                 if epoch >= cfg.stage2_start:
                     r = rls_loss(p3, s.image, s.region, cfg.loss)
                     dps[2] = dps[2] + cfg.rls_weight * r.grad
