@@ -13,6 +13,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,32 +77,41 @@ def write_dataset(samples, manifest: str, out: Path) -> None:
     (out / "manifest.csv").write_text(manifest)
 
 
-def load_dataset(path: Path):
-    samples = []
+class Record(NamedTuple):
+    """One dataset entry as read from disk. Training builds its ``Sample``
+    (pseudo mask and constrained region) from it; eval reads only the image
+    and the ground truth."""
+    sample_id: str
+    annotation: recist.RecistAnnotation
+    image: np.ndarray
+    gt_mask: np.ndarray | None
+
+
+def load_dataset(path: Path) -> list[Record]:
+    records = []
     for sid, ann in _read_annotations(path / "recist.csv"):
         img = _read_pgm(path / "images" / f"{sid}.pgm")
         gt = None
         gt_file = path / "gt" / f"{sid}.pgm"
         if gt_file.exists():
             gt = _read_pgm(gt_file) >= 0.5
-        try:
-            samples.append(Sample.from_annotation(img, ann, gt, sid))
-        except ValueError as exc:
-            # the gt shape: read_annotation_csv already rejects degenerate
-            # annotations
-            raise DataError(f"{gt_file}: {exc}") from None
-    if not samples:
+            if gt.shape != img.shape:
+                raise DataError(f"{gt_file}: gt mask is {gt.shape[1]}x"
+                                f"{gt.shape[0]} but the image is "
+                                f"{img.shape[1]}x{img.shape[0]}")
+        records.append(Record(sid, ann, img, gt))
+    if not records:
         raise DataError(f"no samples found in {path}")
-    return samples
+    return records
 
 
-def _check_model_sides(dataset, path: Path) -> None:
+def _check_model_sides(records, path: Path) -> None:
     """The segmenter halves each side twice, so train and eval --model need
     sides that are multiples of 4; fail before any work, naming the file."""
-    for s in dataset:
-        h, w = s.image.shape
+    for r in records:
+        h, w = r.image.shape
         if h % 4 or w % 4:
-            img_file = path / "images" / f"{s.sample_id}.pgm"
+            img_file = path / "images" / f"{r.sample_id}.pgm"
             raise DataError(f"{img_file}: the model needs sides that are "
                             f"multiples of 4, got {w}x{h}")
 
@@ -141,8 +151,10 @@ def cmd_train(args) -> int:
             raise UsageError(f"config {args.config}: {exc}") from exc
     if args.rls_region:
         cfg = replace(cfg, rls_region=args.rls_region.replace("-", "_"))
-    dataset = load_dataset(Path(args.data))
-    _check_model_sides(dataset, Path(args.data))
+    records = load_dataset(Path(args.data))
+    _check_model_sides(records, Path(args.data))
+    dataset = [Sample.from_annotation(r.image, r.annotation, r.gt_mask,
+                                      r.sample_id) for r in records]
     params, histories = weaktrain.train_rounds(dataset, cfg)
     skips = sum(h.rls_skips for h in histories)
     if skips:
@@ -158,21 +170,32 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    dataset = load_dataset(Path(args.data))
+    data = Path(args.data)
+    dataset = load_dataset(data)
+    for r in dataset:
+        if r.gt_mask is None:
+            raise DataError(f"missing {data}/gt/{r.sample_id}.pgm: eval needs "
+                            "the ground truth of every sample")
     preds = {}
     if args.pred:
-        for s in dataset:
-            preds[s.sample_id] = _read_pgm(
-                Path(args.pred) / f"{s.sample_id}.pgm") >= 0.5
+        for r in dataset:
+            pred_file = Path(args.pred) / f"{r.sample_id}.pgm"
+            pred = _read_pgm(pred_file) >= 0.5
+            if pred.shape != r.image.shape:
+                (h, w), (ih, iw) = pred.shape, r.image.shape
+                raise DataError(f"{pred_file} is {w}x{h} but its image "
+                                f"{data}/images/{r.sample_id}.pgm is {iw}x{ih}")
+            preds[r.sample_id] = pred
     elif args.model:
-        _check_model_sides(dataset, Path(args.data))
+        _check_model_sides(dataset, data)
         params, arch = load_model(args.model)
 
         def infer(chunk):
             # one workspace per worker: its forwards run in sequence
             ws = new_workspace()
-            return [(s.sample_id, weaktrain.predict(s, params, arch, ws) >= 0.5)
-                    for s in chunk]
+            return [(r.sample_id,
+                     weaktrain.predict(r.image, params, arch, ws) >= 0.5)
+                    for r in chunk]
 
         workers = _worker_count()
         with ThreadPoolExecutor(workers) as pool:
@@ -181,12 +204,8 @@ def cmd_eval(args) -> int:
                 preds.update(part)
     else:
         raise DataError("eval needs --model or --pred")
-    rows = []
-    for s in dataset:
-        if s.gt_mask is None:
-            raise DataError(f"sample {s.sample_id} has no ground truth")
-        rows.append((s.sample_id, metrics.prf_dice(preds[s.sample_id],
-                                                   s.gt_mask)))
+    rows = [(r.sample_id, metrics.prf_dice(preds[r.sample_id], r.gt_mask))
+            for r in dataset]
     summary = metrics.summarize([m for _, m in rows])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -76,13 +76,25 @@ def smooth_delta(z, eps: float = 1.0, out=None):
     return np.divide(eps / np.pi, t, out=out)
 
 
-def _central_diff(out, a, tmp, axis, sign):
-    """out = sign * (roll(a, -1) - roll(a, 1)) / 2 along axis, by slicing."""
-    a = np.moveaxis(a, axis, 0)
-    for dst, k in ((out, -sign), (tmp, sign)):
-        dst = np.moveaxis(dst, axis, 0)
-        dst[k:], dst[:k] = a[:-k], a[-k:]
-    return np.divide(np.subtract(out, tmp, out=out), 2.0, out=out)
+def _central_diff(out, a, axis, sign):
+    """out = sign * (roll(a, -1) - roll(a, 1)) / 2 along axis 0 or 1 of
+    C-contiguous 2-D arrays, by slicing: one subtraction for the interior
+    (along axis 1 over the flattened arrays, whose row seams the wrap
+    columns then overwrite) and one for each wrap row or column. A negative
+    sign swaps the operands rather than negating, so an exact zero is +0."""
+    def sub(x, y, dst):
+        np.subtract(*((x, y) if sign > 0 else (y, x)), out=dst)
+
+    n = a.shape[axis]  # indices mod n: a side of 1 or 2 wraps onto itself
+    if axis == 0:
+        sub(a[2:], a[:-2], out[1:-1])
+        sub(a[1 % n], a[-1], out[0])
+        sub(a[0], a[-2 % n], out[-1])
+    else:
+        sub(a.ravel()[2:], a.ravel()[:-2], out.ravel()[1:-1])
+        sub(a[:, 1 % n], a[:, -1], out[:, 0])
+        sub(a[:, 0], a[:, -2 % n], out[:, -1])
+    return np.multiply(out, 0.5, out=out)
 
 
 def cv_energy(phi, img, cfg: CvConfig, grad=None, work=None) -> float:
@@ -103,15 +115,15 @@ def cv_energy(phi, img, cfg: CvConfig, grad=None, work=None) -> float:
     if cfg.nu != 0.0:
         energy += cfg.nu * float(h.sum())
     if cfg.mu != 0.0:
-        gx = _central_diff(t1, h, t2, 1, 1)
-        gy = _central_diff(r2, h, t2, 0, 1)
+        gx = _central_diff(t1, h, 1, 1)
+        gy = _central_diff(r2, h, 0, 1)
         n = np.add(np.multiply(gx, gx, out=r1), np.multiply(gy, gy, out=t2), out=r1)
         np.sqrt(np.add(n, _LEN_ETA, out=n), out=n)
         energy += cfg.mu * float(n.sum())
         if grad is not None:
             # length gradient with respect to h, into g
-            _central_diff(g, np.divide(gx, n, out=gx), t2, 1, -1)
-            np.add(g, _central_diff(h, np.divide(gy, n, out=gy), t2, 0, -1), out=g)
+            _central_diff(g, np.divide(gx, n, out=gx), 1, -1)
+            np.add(g, _central_diff(h, np.divide(gy, n, out=gy), 0, -1), out=g)
             np.add(grad, np.multiply(cfg.mu, g, out=g), out=grad)
     if grad is not None:
         np.multiply(grad, smooth_delta(phi, cfg.eps, out=t1), out=grad)

@@ -2,9 +2,11 @@
 
 ``Sample.from_annotation`` is the one place a sample is built from an image
 and its RECIST annotation: it fits the ellipse, rasterizes it into the FG/BG
-pseudo mask and computes the constrained region. The CLI's dataset loader,
-the generator and augmentation all use it; augmentation then writes a
-refined mask's warped IGNORE pixels into the new pseudo mask.
+pseudo mask and computes the constrained region. The training command, the
+generator and augmentation all use it; augmentation then writes a refined
+mask's warped IGNORE pixels into the new pseudo mask. The CLI's dataset
+loader builds no ``Sample``: it reads images, annotations and ground truth,
+which is all that eval needs.
 
 Each synthetic sample is a star-convex blob with known ground truth and a
 RECIST-style annotation measured off it (long diameter plus near-perpendicular

@@ -315,12 +315,12 @@ def train_schedule(dataset, cfg: TrainConfig):
     return params, history
 
 
-def predict(sample: Sample, params, arch: ArchConfig,
+def predict(image: np.ndarray, params, arch: ArchConfig,
             workspace: dict | None = None) -> np.ndarray:
-    """Full-resolution probability map for one sample. A caller that
+    """Full-resolution probability map for one image. A caller that
     predicts in sequence lends every call one ``workspace``
     (model.new_workspace)."""
-    _, _, p3, _ = forward(sample.image, params, arch, workspace)
+    _, _, p3, _ = forward(image, params, arch, workspace)
     return p3
 
 
@@ -348,7 +348,7 @@ def train_rounds(dataset, cfg: TrainConfig, on_round=None):
         changed = False
         workspace = new_workspace()
         for i, sample in enumerate(dataset):
-            p = predict(sample, params, cfg.arch, workspace)
+            p = predict(sample.image, params, cfg.arch, workspace)
             emask = rasterize_ellipse(
                 sample.ellipse, (sample.image.shape[1], sample.image.shape[0]))
             new_pseudo, retain = update_pseudo_mask(p, emask)

@@ -50,7 +50,7 @@ def bench_datasets(distractors: int = 0):
 
 
 def mean_test_dice(params, arch, test):
-    return float(np.mean([prf_dice(predict(s, params, arch) >= 0.5,
+    return float(np.mean([prf_dice(predict(s.image, params, arch) >= 0.5,
                                    s.gt_mask).dice for s in test]))
 
 

@@ -3,14 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from weakseg import weaktrain
+from weakseg import cli, recist, synthgen, weaktrain
 from weakseg.cli import DataError, build_parser, cli_main, load_dataset, \
     write_dataset
 from weakseg.imgcore import decode_pgm, encode_pgm
 from weakseg.losses import DegenerateRegionError
 from weakseg.model import ArchConfig, init_params, load_model, save_model
 from weakseg.recist import rasterize_ellipse
-from weakseg.synthgen import SynthConfig, gen_dataset
+from weakseg.synthgen import Sample, SynthConfig, gen_dataset
 
 
 def run(*argv):
@@ -28,7 +28,9 @@ def dataset_dir(tmp_path):
 
 class TestDatasetIo:
     def test_roundtrip(self, dataset_dir):
-        samples = load_dataset(dataset_dir)
+        samples = [Sample.from_annotation(r.image, r.annotation, r.gt_mask,
+                                          r.sample_id)
+                   for r in load_dataset(dataset_dir)]
         assert [s.sample_id for s in samples] == ["000", "001", "002"]
         for s in samples:
             assert s.image.shape == (32, 32)
@@ -183,6 +185,90 @@ class TestTrainEval:
     def test_eval_without_source_fails(self, dataset_dir, tmp_path):
         assert run("eval", "--data", str(dataset_dir),
                    "--out", str(tmp_path / "e")) == 2
+
+    @pytest.mark.parametrize("source", ["--model", "--pred"])
+    def test_eval_without_gt_fails_before_inference(self, dataset_dir,
+                                                    tmp_path, monkeypatch,
+                                                    capsys, source):
+        gt_file = dataset_dir / "gt" / "001.pgm"
+        gt_file.unlink()
+        calls = []
+        real = weaktrain.predict
+        monkeypatch.setattr(weaktrain, "predict",
+                            lambda *a: calls.append(1) or real(*a))
+        arch = ArchConfig(channels=2)
+        save_model(tmp_path / "m.bin", init_params(0, arch), arch)
+        # an empty prediction directory: reading it first would name 000.pgm
+        arg = tmp_path / ("m.bin" if source == "--model" else "pred")
+        out = tmp_path / "e"
+        assert run("eval", "--data", str(dataset_dir), source, str(arg),
+                   "--out", str(out)) == 2
+        assert f"missing {gt_file}" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
+    def test_eval_pred_size_mismatch_names_the_file(self, dataset_dir,
+                                                    tmp_path, capsys):
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        for r in load_dataset(dataset_dir):
+            (pred / f"{r.sample_id}.pgm").write_bytes(
+                encode_pgm(r.gt_mask.astype(np.float64)))
+        bad = pred / "001.pgm"
+        bad.write_bytes(encode_pgm(np.zeros((16, 20))))
+        out = tmp_path / "e"
+        assert run("eval", "--data", str(dataset_dir), "--pred", str(pred),
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"{bad} is 20x16" in err
+        assert f"{dataset_dir / 'images' / '001.pgm'} is 32x32" in err
+        assert not out.exists()
+
+    def test_eval_builds_no_training_masks(self, dataset_dir, tmp_path,
+                                           monkeypatch):
+        # eval scores predictions against gt: it never fits an ellipse or
+        # builds a pseudo mask or constrained region. The perfbench probes
+        # wrap cli.load_dataset and weaktrain.predict by module attribute,
+        # so eval must reach both through them.
+        arch = ArchConfig(channels=2)
+        save_model(tmp_path / "m.bin", init_params(0, arch), arch)
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        for r in load_dataset(dataset_dir):
+            (pred / f"{r.sample_id}.pgm").write_bytes(
+                encode_pgm(r.gt_mask.astype(np.float64)))
+        counts = dict.fromkeys(
+            ["from_annotation", "fit_ellipse", "rasterize_ellipse",
+             "constrained_region", "load_dataset", "predict"], 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("fit_ellipse", "rasterize_ellipse",
+                     "constrained_region"):
+            real = getattr(recist, name)
+            for module in (recist, synthgen, weaktrain, cli):
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, counted(name, real))
+        monkeypatch.setattr(Sample, "from_annotation", classmethod(
+            counted("from_annotation", Sample.from_annotation.__func__)))
+        monkeypatch.setattr(cli, "load_dataset",
+                            counted("load_dataset", cli.load_dataset))
+        monkeypatch.setattr(weaktrain, "predict",
+                            counted("predict", weaktrain.predict))
+        for threads in ("1", "2"):
+            monkeypatch.setenv("WEAKSEG_THREADS", threads)
+            assert cli_main(["eval", "--data", str(dataset_dir), "--model",
+                             str(tmp_path / "m.bin"), "--out",
+                             str(tmp_path / f"e{threads}")]) == 0
+        assert cli_main(["eval", "--data", str(dataset_dir), "--pred",
+                         str(pred), "--out", str(tmp_path / "ep")]) == 0
+        assert counts == {"from_annotation": 0, "fit_ellipse": 0,
+                          "rasterize_ellipse": 0, "constrained_region": 0,
+                          "load_dataset": 3, "predict": 6}
 
 
 def _edit_header(**changes):
@@ -377,8 +463,10 @@ class TestFitEllipse:
                    "--image-id", "000", "--width", "32", "--height", "32",
                    "--out", str(out)) == 0
         mask = decode_pgm(out.read_bytes()) >= 0.5
-        samples = load_dataset(dataset_dir)
-        assert np.array_equal(mask, samples[0].pseudo == 1)
+        r = load_dataset(dataset_dir)[0]
+        sample = Sample.from_annotation(r.image, r.annotation, r.gt_mask,
+                                        r.sample_id)
+        assert np.array_equal(mask, sample.pseudo == 1)
 
     def test_unknown_id(self, dataset_dir, tmp_path):
         assert run("fit-ellipse", "--recist", str(dataset_dir / "recist.csv"),

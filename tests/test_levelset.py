@@ -106,6 +106,18 @@ class TestEnergyGradient:
             assert cv_energy(phi, img, cfg, grad=grad, work=work) == energy
             assert grad.tobytes() == fresh.tobytes()
 
+    @pytest.mark.parametrize("shape", [(1, 6), (6, 1), (2, 5), (5, 2),
+                                       (2, 2), (3, 3), (7, 4)])
+    def test_small_sides_match_roll_reference(self, shape):
+        # the length term's differences wrap periodically; at a side of 1
+        # or 2 both neighbours along it are the same pixel
+        img, phi, cfg = self.problem(shape)
+        grad = np.empty_like(phi)
+        energy = cv_energy(phi, img, cfg, grad=grad)
+        ref_energy, ref_grad = _ref_energy_and_grad(phi, img, cfg)
+        assert energy == ref_energy
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-15)
+
     def test_degenerate_with_gradient(self):
         img, _ = two_phase_image()
         grad = np.zeros_like(img)

@@ -300,7 +300,7 @@ class TestTraining:
         params, _ = train_schedule(ds, cfg)
         changed = 0
         for s in ds:
-            p = predict(s, params, cfg.arch)
+            p = predict(s.image, params, cfg.arch)
             emask = s.pseudo == FG
             new_pseudo, retain = update_pseudo_mask(p, emask)
             if not retain and not np.array_equal(new_pseudo, s.pseudo):
@@ -456,6 +456,6 @@ class TestTraining:
         ds = tiny_dataset(n=1)
         cfg = tiny_config()
         params = init_params(0, cfg.arch)
-        p = predict(ds[0], params, cfg.arch)
+        p = predict(ds[0].image, params, cfg.arch)
         assert p.shape == ds[0].image.shape
         assert np.all((p > 0) & (p < 1))
