@@ -89,9 +89,9 @@ def rasterize_ellipse(e: Ellipse, dims) -> np.ndarray:
     if w < 1 or h < 1:
         raise ValueError("grid dimensions must be >= 1")
     cx, cy = e.center
-    gx, gy = np.meshgrid(np.arange(w) + 0.5, np.arange(h) + 0.5)
-    u = gx - cx
-    v = gy - cy
+    # a row of x offsets and a column of y offsets, broadcast to (h, w)
+    u = np.arange(w) + 0.5 - cx
+    v = (np.arange(h) + 0.5 - cy)[:, None]
     ct, st = np.cos(e.theta), np.sin(e.theta)
     p = (u * ct + v * st) / e.a
     q = (-u * st + v * ct) / e.b

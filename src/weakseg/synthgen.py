@@ -79,15 +79,10 @@ class Sample:
                         gt_mask=None, sample_id: str = "",
                         meta: dict | None = None) -> Sample:
         """Fit the annotation's ellipse and build the FG/BG pseudo mask and
-        the constrained region on the image's grid. A gt mask must have the
-        image's shape."""
+        the constrained region on the image's grid. ``gt_mask`` is stored as
+        given: its callers build it on the image's grid (``gen_lesion``) or
+        have checked its shape (``cli.load_dataset``)."""
         h, w = image.shape
-        if gt_mask is not None:
-            gt_mask = np.asarray(gt_mask, dtype=bool)
-            if gt_mask.shape != (h, w):
-                raise ValueError(f"gt mask is {gt_mask.shape[1]}x"
-                                 f"{gt_mask.shape[0]} but the image is "
-                                 f"{w}x{h}")
         e = fit_ellipse(annotation)
         pseudo = np.where(rasterize_ellipse(e, (w, h)), FG, BG).astype(np.int8)
         return cls(image=image, annotation=annotation, ellipse=e,
@@ -103,9 +98,8 @@ def _star_mask(size: int, center, radius: float, irregularity: float,
     for k in (2, 3, 4):
         harmonics.append((k, rng.uniform(-1, 1), rng.uniform(-1, 1)))
     amp = sum(np.hypot(a, b) for _, a, b in harmonics)
-    gx, gy = np.meshgrid(np.arange(size) + 0.5, np.arange(size) + 0.5)
-    dx = gx - center[0]
-    dy = gy - center[1]
+    dx = np.arange(size) + 0.5 - center[0]
+    dy = (np.arange(size) + 0.5 - center[1])[:, None]
     ang = np.arctan2(dy, dx)
     pert = np.zeros_like(ang)
     if amp > 0 and irregularity > 0:

@@ -24,8 +24,8 @@ from .imgcore import BG, FG, IGNORE, affine_compose, affine_rotation, \
 from .losses import DegenerateRegionError, LossConfig, rls_loss, seg_loss
 from .model import ArchConfig, adam_init, adam_step, backward, forward, \
     init_params, new_workspace
-from .recist import DegenerateAnnotationError, fit_ellipse, \
-    rasterize_ellipse, transform_annotation
+from .recist import DegenerateAnnotationError, rasterize_ellipse, \
+    transform_annotation
 from .synthgen import Sample
 
 
@@ -186,17 +186,24 @@ def _round4(x: float) -> int:
 
 def augment(sample: Sample, rng: np.random.Generator, long_side):
     """One random augmentation: affine (scale, rotation, resize so the long
-    side lands in the configured range, translation keeping the lesion
-    on-grid), brightness/contrast jitter, Gaussian blur. sample' is built by
+    side lands in the configured range, and a translation that puts the
+    ellipse centre at out_side/2 +- 0.1 out_side), brightness/contrast
+    jitter, Gaussian blur. The ellipse centre is the annotation's centroid,
+    which the affine maps to the mapped annotation's centroid, so the new
+    ellipse is always centred on the grid. sample' is built by
     Sample.from_annotation from the mapped annotation, so its ellipse,
     constrained region and pseudo mask are recomputed: FG inside the
     re-rasterized ellipse, BG outside, and a refined mask's IGNORE pixels,
     warped with the image (bilinear, kept where >= 0.5), on top.
     update_pseudo_mask writes only FG or IGNORE inside the ellipse and BG or
     IGNORE outside it, so this keeps the refinement. The gt mask is not
-    warped (training never reads it), so sample' has none. After 10 failed
-    draws the sample is returned unchanged. Returns (sample', skipped)."""
+    warped (training never reads it), so sample' has none. A draw whose
+    mapped annotation is degenerate or whose ellipse covers no pixel centre
+    is redrawn; after 10 such draws the sample is returned unchanged.
+    Returns (sample', skipped)."""
     h, w = sample.image.shape
+    fill = float(np.median(sample.image))
+    ignore = sample.pseudo == IGNORE
     for _ in range(10):
         scale = rng.uniform(0.8, 1.2)
         theta = rng.uniform(-np.pi / 6.0, np.pi / 6.0)
@@ -214,13 +221,9 @@ def augment(sample: Sample, rng: np.random.Generator, long_side):
             out_side / 2.0 - cy + rng.uniform(-jitter, jitter)), t)
         try:
             ann = transform_annotation(sample.annotation, t)
-            e = fit_ellipse(ann)
         except DegenerateAnnotationError:
             continue
-        if not (0 <= e.center[0] < out_side and 0 <= e.center[1] < out_side):
-            continue
-        img = apply_affine(sample.image, t, (out_side, out_side),
-                           fill=float(np.median(sample.image)))
+        img = apply_affine(sample.image, t, (out_side, out_side), fill=fill)
         brightness = rng.uniform(-0.1, 0.1)
         gain = rng.uniform(0.8, 1.2)
         sigma = rng.uniform(0.0, 1.0)
@@ -231,7 +234,6 @@ def augment(sample: Sample, rng: np.random.Generator, long_side):
                                      meta=dict(sample.meta))
         if not (out.pseudo == FG).any():
             continue
-        ignore = sample.pseudo == IGNORE
         if ignore.any():
             out.pseudo[apply_affine(ignore, t, (out_side, out_side))
                        >= 0.5] = IGNORE

@@ -78,6 +78,34 @@ class TestRasterize:
         assert not rasterize_ellipse(e, (1, 1)).any()
 
 
+def meshgrid_ellipse(e, dims):
+    """Reference raster: the ellipse test evaluated on full coordinate
+    grids, the form the broadcast rasterizer replaced."""
+    gx, gy = np.meshgrid(np.arange(dims[0]) + 0.5, np.arange(dims[1]) + 0.5)
+    u = gx - e.center[0]
+    v = gy - e.center[1]
+    ct, st = np.cos(e.theta), np.sin(e.theta)
+    p = (u * ct + v * st) / e.a
+    q = (-u * st + v * ct) / e.b
+    return p * p + q * q <= 1.0
+
+
+def test_rasters_equal_meshgrid_reference():
+    rng = np.random.default_rng(21)
+    for _ in range(300):
+        w, h = (int(x) for x in rng.integers(1, 90, 2))
+        a, b = sorted(rng.uniform(0.2, 40.0, 2), reverse=True)
+        e = Ellipse((float(rng.uniform(-10, w + 10)),
+                     float(rng.uniform(-10, h + 10))), float(a), float(b),
+                    float(rng.uniform(0, np.pi)))
+        big = Ellipse(e.center, 2 * e.a, 2 * e.b, e.theta)
+        got = rasterize_ellipse(e, (w, h))
+        assert got.shape == (h, w)
+        assert np.array_equal(got, meshgrid_ellipse(e, (w, h)))
+        assert np.array_equal(constrained_region(e, (w, h)),
+                              meshgrid_ellipse(big, (w, h)))
+
+
 class TestConstrainedRegion:
     def test_area_scaling_factor(self):
         e = Ellipse((32.0, 32.0), 8.0, 8.0, 0.0)

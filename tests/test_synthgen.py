@@ -3,8 +3,8 @@ import pytest
 
 from weakseg.metrics import prf_dice
 from weakseg.recist import fit_ellipse, rasterize_ellipse
-from weakseg.synthgen import (Sample, SynthConfig, derive_recist, gen_dataset,
-                              gen_lesion)
+from weakseg.synthgen import (Sample, SynthConfig, _star_mask, derive_recist,
+                              gen_dataset, gen_lesion)
 
 
 class TestDeriveRecist:
@@ -121,6 +121,29 @@ class TestGenLesion:
         cfg = SynthConfig(size=24, radius_range=(12, 12), seed=9)
         with pytest.raises(ValueError):
             gen_lesion(cfg, np.random.default_rng(9))
+
+
+def test_star_mask_equals_meshgrid_reference():
+    # the same harmonics, evaluated on full coordinate grids
+    rng = np.random.default_rng(4)
+    for _ in range(100):
+        size = int(rng.integers(4, 100))
+        center = rng.uniform(0, size, 2)
+        radius = float(rng.uniform(2, size / 2))
+        irregularity = float(rng.uniform(0, 0.9))
+        seed = int(rng.integers(1 << 30))
+        got = _star_mask(size, center, radius, irregularity,
+                         np.random.default_rng(seed))
+        harm = np.random.default_rng(seed).uniform(-1, 1, 6).reshape(3, 2)
+        gx, gy = np.meshgrid(np.arange(size) + 0.5, np.arange(size) + 0.5)
+        dx = gx - center[0]
+        dy = gy - center[1]
+        ang = np.arctan2(dy, dx)
+        pert = np.zeros_like(ang)
+        for k, (a, b) in zip((2, 3, 4), harm):
+            pert += a * np.cos(k * ang) + b * np.sin(k * ang)
+        pert *= irregularity / sum(np.hypot(a, b) for a, b in harm)
+        assert np.array_equal(got, np.hypot(dx, dy) <= radius * (1.0 + pert))
 
 
 class TestGenDataset:

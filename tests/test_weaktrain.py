@@ -240,6 +240,29 @@ class TestAugment:
             assert skipped or np.array_equal(out.pseudo, np.where(e, FG, BG))
 
 
+    def test_ellipse_centred_on_grid(self):
+        # the translation puts the annotation centroid, which is the fitted
+        # centre, at side/2 +- 0.1 side; augment relies on this and has no
+        # on-grid check of its own
+        ds = tiny_dataset(n=3) + tiny_dataset(n=2, size=64, seed=5)
+        emask = ds[0].pseudo == FG
+        pseudo, _ = update_pseudo_mask(np.roll(emask, 3, axis=0), emask)
+        ds.append(replace(ds[0], pseudo=pseudo))
+        rng = np.random.default_rng(12)
+        draws = 0
+        for s in ds:
+            for long_side in ((4, 12), (24, 48), (32, 64)):
+                for _ in range(15):
+                    out, skipped = augment(s, rng, long_side)
+                    if skipped:
+                        continue
+                    side = out.image.shape[0]
+                    for c in out.ellipse.center:
+                        assert 0.4 * side <= c <= 0.6 * side
+                    draws += 1
+        assert draws >= 250
+
+
 class TestTraining:
     def test_schedule_stages(self):
         ds = tiny_dataset()
