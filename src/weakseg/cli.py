@@ -153,6 +153,12 @@ def cmd_train(args) -> int:
         cfg = replace(cfg, rls_region=args.rls_region.replace("-", "_"))
     records = load_dataset(Path(args.data))
     _check_model_sides(records, Path(args.data))
+    out = Path(args.out)
+    try:  # after the data checks, before training: a bad --out loses nothing
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"--out {out}: cannot make the run directory "
+                        f"({exc.strerror})") from None
     dataset = [Sample.from_annotation(r.image, r.annotation, r.gt_mask,
                                       r.sample_id) for r in records]
     params, histories = weaktrain.train_rounds(dataset, cfg)
@@ -160,11 +166,17 @@ def cmd_train(args) -> int:
     if skips:
         print(f"warning: dropped the RLS term of {skips} training step(s) "
               "with a degenerate region", file=sys.stderr)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    skips = sum(h.augment_skips for h in histories)
+    if skips:
+        print(f"warning: skipped {skips} training step(s) whose 10 "
+              "augmentation draws all failed", file=sys.stderr)
     save_model(out / "model.bin", params, cfg.arch)
     for i, hist in enumerate(histories, start=1):
         (out / f"history_round{i}.csv").write_text(hist.to_csv())
+    for old in out.glob("history_round*.csv"):  # left by a longer run
+        k = old.stem.removeprefix("history_round")
+        if k.isdecimal() and int(k) > len(histories):
+            old.unlink()
     print(f"trained {len(histories)} round(s); model at {out / 'model.bin'}")
     return 0
 

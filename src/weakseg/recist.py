@@ -141,12 +141,17 @@ def read_annotation_csv(text: str) -> list[tuple[str, RecistAnnotation]]:
     if header is None or header[0] != "image_id":
         raise ValueError("annotation CSV must start with an image_id header")
     out = []
+    lines = {}  # image id -> the CSV line that holds it
     for row in reader:
         if not row:
             continue
         try:
             if len(row) != 9:
                 raise ValueError(f"annotation row needs 9 fields, got {len(row)}")
+            if row[0] in lines:
+                raise ValueError(f"image id {row[0]!r} repeats line "
+                                 f"{lines[row[0]]}")
+            lines[row[0]] = reader.line_num
             x = [float(v) for v in row[1:]]
             out.append((row[0], RecistAnnotation(
                 long_a=(x[0], x[1]), long_b=(x[2], x[3]),

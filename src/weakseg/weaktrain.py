@@ -136,8 +136,10 @@ class EpochRecord:
 @dataclass
 class TrainHistory:
     records: list[EpochRecord] = field(default_factory=list)
-    # steps whose RLS term was dropped for a degenerate region; not in the CSV
+    # steps whose RLS term was dropped for a degenerate region, and samples
+    # skipped after 10 failed augmentation draws; neither is in the CSV
     rls_skips: int = 0
+    augment_skips: int = 0
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -273,8 +275,9 @@ def train_schedule(dataset, cfg: TrainConfig):
     ('seg_only'); a later one adds the regional level set loss at weight
     cfg.rls_weight ('seg_plus_rls'), unless cfg.rls_region is 'off'. A step
     whose RLS region is degenerate drops its RLS term (counted 0 in the
-    epoch mean) and counts in history.rls_skips. Returns (params,
-    history)."""
+    epoch mean) and counts in history.rls_skips; a sample whose augmentation
+    is skipped takes no step and counts in history.augment_skips. Returns
+    (params, history)."""
     if not dataset:
         raise ValueError("dataset is empty")
     params = init_params(cfg.seed, cfg.arch)
@@ -294,6 +297,7 @@ def train_schedule(dataset, cfg: TrainConfig):
             if cfg.augment:
                 sample, skipped = augment(sample, rng, cfg.long_side)
                 if skipped:
+                    history.augment_skips += 1
                     continue
             seg_val, rls_val, grads = _sample_losses(sample, params, cfg,
                                                      with_rls, workspace)

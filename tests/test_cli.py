@@ -73,6 +73,24 @@ class TestDatasetIo:
         assert named in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", ["train", "eval", "fit-ellipse"])
+    def test_repeated_image_id_is_data_error(self, dataset_dir, tmp_path,
+                                             capsys, command):
+        csv_file = dataset_dir / "recist.csv"
+        rows = csv_file.read_text().splitlines()
+        csv_file.write_text("\n".join(rows + [rows[1]]) + "\n")
+        out = tmp_path / "out"
+        argv = {"train": ["--data", str(dataset_dir)],
+                "eval": ["--data", str(dataset_dir), "--pred",
+                         str(dataset_dir / "gt")],
+                "fit-ellipse": ["--recist", str(csv_file), "--image-id",
+                                "001", "--width", "32", "--height", "32"]}
+        assert run(command, *argv[command], "--out", str(out)) == 2
+        assert f"{csv_file}: line 5: image id '000' repeats line 2" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSynth:
     def test_flag_defaults_are_synth_config_defaults(self):
         args = build_parser().parse_args(["synth", "--n", "1", "--out", "d"])
@@ -169,6 +187,56 @@ class TestTrainEval:
         assert "RLS term of 1 training step" in capsys.readouterr().err
         params, _ = load_model(out / "model.bin")
         assert np.all(np.isfinite(params))
+
+    def test_augment_skips_warn(self, dataset_dir, tmp_path, monkeypatch,
+                                capsys):
+        real = weaktrain.augment
+
+        def skip_000(sample, rng, long_side):
+            if sample.sample_id == "000":
+                return sample, True
+            return real(sample, rng, long_side)
+
+        monkeypatch.setattr(weaktrain, "augment", skip_000)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(
+            {"epochs": 2, "stage2_start": 1, "decay_epochs": [], "rounds": 1,
+             "long_side": [24, 32], "arch": {"channels": 2}}))
+        assert run("train", "--data", str(dataset_dir), "--config",
+                   str(cfg_file), "--out", str(tmp_path / "model")) == 0
+        assert "skipped 2 training step(s)" in capsys.readouterr().err
+
+    def test_out_is_a_file_fails_before_training(self, dataset_dir,
+                                                  tmp_path, monkeypatch,
+                                                  capsys):
+        def no_training(*args):
+            raise AssertionError("trained despite a bad --out")
+
+        monkeypatch.setattr(weaktrain, "train_rounds", no_training)
+        out = tmp_path / "model"
+        out.write_text("not a directory")
+        assert run("train", "--data", str(dataset_dir), "--out",
+                   str(out)) == 2
+        assert f"--out {out}: " in capsys.readouterr().err
+        assert out.read_text() == "not a directory"
+
+    def test_rerun_removes_stale_histories(self, dataset_dir, tmp_path):
+        # a 1-round rerun into a 2-round run's directory leaves no round 2
+        cfg_file = tmp_path / "cfg.json"
+        out = tmp_path / "model"
+        (tmp_path / "notes").mkdir()
+        for rounds in (2, 1):
+            cfg_file.write_text(json.dumps(
+                {"epochs": 2, "stage2_start": 1, "decay_epochs": [],
+                 "rounds": rounds, "augment": False,
+                 "arch": {"channels": 2}}))
+            assert run("train", "--data", str(dataset_dir), "--config",
+                       str(cfg_file), "--out", str(out)) == 0
+            if rounds == 2:
+                assert (out / "history_round2.csv").exists()
+                (out / "history_roundx.csv").write_text("kept")
+        assert sorted(f.name for f in out.iterdir()) == [
+            "history_round1.csv", "history_roundx.csv", "model.bin"]
 
     def test_eval_pred_dir(self, dataset_dir, tmp_path):
         pred = tmp_path / "pred"

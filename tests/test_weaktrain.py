@@ -404,6 +404,8 @@ class TestTraining:
             assert rec.mean_rls_loss == sum(v for _, v in steps) / 2
         assert history.records[0].mean_rls_loss == 0.0
         assert history.records[1].mean_rls_loss > 0.0
+        assert history.augment_skips == 2  # one per epoch
+        assert history.rls_skips == 0
 
     def test_degenerate_rls_region_is_counted(self, monkeypatch):
         # the step keeps its segmentation loss and logs an RLS value of 0
