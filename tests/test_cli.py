@@ -224,7 +224,6 @@ class TestTrainEval:
         # a 1-round rerun into a 2-round run's directory leaves no round 2
         cfg_file = tmp_path / "cfg.json"
         out = tmp_path / "model"
-        (tmp_path / "notes").mkdir()
         for rounds in (2, 1):
             cfg_file.write_text(json.dumps(
                 {"epochs": 2, "stage2_start": 1, "decay_epochs": [],

@@ -173,10 +173,3 @@ def test_annotation_csv_roundtrip():
     for (_, a), (_, b) in zip(rows, back):
         assert np.allclose(a.endpoints(), b.endpoints())
 
-
-def test_annotation_csv_rejects_repeated_id():
-    rows = [("000", axis_aligned_ann()), ("001", axis_aligned_ann()),
-            ("000", axis_aligned_ann())]
-    with pytest.raises(ValueError, match="line 4: image id '000' repeats "
-                                         "line 2"):
-        read_annotation_csv(write_annotation_csv(rows))
