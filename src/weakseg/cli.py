@@ -11,7 +11,6 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -105,6 +104,18 @@ def load_dataset(path: Path) -> list[Record]:
     return records
 
 
+def _make_out(path) -> Path:
+    """Make the --out run directory; commands call this after every input
+    check and before the work, so a bad --out loses nothing."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"--out {out}: cannot make the run directory "
+                        f"({exc.strerror})") from None
+    return out
+
+
 def _check_model_sides(records, path: Path) -> None:
     """The segmenter halves each side twice, so train and eval --model need
     sides that are multiples of 4; fail before any work, naming the file."""
@@ -149,24 +160,19 @@ def cmd_train(args) -> int:
             cfg = weaktrain.train_config_from_json(text)
         except ValueError as exc:
             raise UsageError(f"config {args.config}: {exc}") from exc
-    if args.rls_region:
-        cfg = replace(cfg, rls_region=args.rls_region.replace("-", "_"))
     records = load_dataset(Path(args.data))
     _check_model_sides(records, Path(args.data))
-    out = Path(args.out)
-    try:  # after the data checks, before training: a bad --out loses nothing
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise DataError(f"--out {out}: cannot make the run directory "
-                        f"({exc.strerror})") from None
+    out = _make_out(args.out)
     dataset = [Sample.from_annotation(r.image, r.annotation, r.gt_mask,
                                       r.sample_id) for r in records]
     params, histories = weaktrain.train_rounds(dataset, cfg)
-    skips = sum(h.rls_skips for h in histories)
+    # a round that reuses the previous round's training shares its history
+    trained = {id(h): h for h in histories}.values()
+    skips = sum(h.rls_skips for h in trained)
     if skips:
         print(f"warning: dropped the RLS term of {skips} training step(s) "
               "with a degenerate region", file=sys.stderr)
-    skips = sum(h.augment_skips for h in histories)
+    skips = sum(h.augment_skips for h in trained)
     if skips:
         print(f"warning: skipped {skips} training step(s) whose 10 "
               "augmentation draws all failed", file=sys.stderr)
@@ -201,7 +207,11 @@ def cmd_eval(args) -> int:
     elif args.model:
         _check_model_sides(dataset, data)
         params, arch = load_model(args.model)
-
+        workers = _worker_count()
+    else:
+        raise DataError("eval needs --model or --pred")
+    out = _make_out(args.out)
+    if not args.pred:
         def infer(chunk):
             # one workspace per worker: its forwards run in sequence
             ws = new_workspace()
@@ -209,18 +219,13 @@ def cmd_eval(args) -> int:
                      weaktrain.predict(r.image, params, arch, ws) >= 0.5)
                     for r in chunk]
 
-        workers = _worker_count()
         with ThreadPoolExecutor(workers) as pool:
             for part in pool.map(infer, [dataset[i::workers]
                                          for i in range(workers)]):
                 preds.update(part)
-    else:
-        raise DataError("eval needs --model or --pred")
     rows = [(r.sample_id, metrics.prf_dice(preds[r.sample_id], r.gt_mask))
             for r in dataset]
     summary = metrics.summarize([m for _, m in rows])
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "metrics.csv").write_text(metrics.metrics_csv(rows))
     (out / "histogram.csv").write_text(metrics.histogram_csv(summary))
     (out / "summary.json").write_text(metrics.summary_json(summary))
@@ -395,8 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--rls-region",
-                   choices=["constrained", "whole-image", "off"])
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate predictions against ground truth")

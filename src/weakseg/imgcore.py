@@ -120,10 +120,8 @@ def affine_rotation(theta: float, center=(0.0, 0.0)) -> np.ndarray:
     ])
 
 
-def affine_scaling(sx: float, sy: float | None = None) -> np.ndarray:
-    if sy is None:
-        sy = sx
-    return np.array([[sx, 0.0, 0.0], [0.0, sy, 0.0]])
+def affine_scaling(s: float) -> np.ndarray:
+    return np.array([[s, 0.0, 0.0], [0.0, s, 0.0]])
 
 
 def affine_compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:

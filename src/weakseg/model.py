@@ -48,13 +48,10 @@ from scipy.special import expit
 class ArchConfig:
     channels: int = 16
     sa_enabled: bool = True
-    pad_mode: str = "zero"  # "zero" or "wrap"
 
     def __post_init__(self):
         if self.channels < 1:
             raise ValueError(f"channels must be >= 1, got {self.channels}")
-        if self.pad_mode not in ("zero", "wrap"):
-            raise ValueError(f"unknown pad_mode {self.pad_mode!r}")
 
 
 @dataclass
@@ -103,20 +100,14 @@ def new_workspace() -> dict:
     return {name: ConvWorkspace() for name in CONV_LAYERS}
 
 
-def _pad(xp: np.ndarray, x: np.ndarray, pad_mode: str) -> np.ndarray:
-    """Writes (C, H, W) x into xp[:, 1:H+1, 1:W+1] with the border np.pad
-    gives at width 1, zero or wrap; rows past H+1 are zeroed."""
+def _pad(xp: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Writes (C, H, W) x into xp[:, 1:H+1, 1:W+1] and zeroes the rest of
+    xp: the zero border of width 1 and any rows past H+1."""
     h, wd = x.shape[1:]
     xp[:, 1:h + 1, 1:wd + 1] = x
-    if pad_mode == "zero":
-        xp[:, 0] = xp[:, h + 1] = 0.0
-        xp[:, :, 0] = xp[:, :, wd + 1] = 0.0
-    else:
-        xp[:, 0, 1:wd + 1] = x[:, h - 1]
-        xp[:, h + 1, 1:wd + 1] = x[:, 0]
-        xp[:, :, 0] = xp[:, :, wd]
-        xp[:, :, wd + 1] = xp[:, :, 1]
-    xp[:, h + 2:] = 0.0
+    xp[:, 0] = 0.0
+    xp[:, h + 1:] = 0.0
+    xp[:, :, 0] = xp[:, :, wd + 1] = 0.0
     return xp
 
 
@@ -179,10 +170,9 @@ def _geometry(w, wd: int, upsample: bool):
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1,
-           pad_mode: str = "zero", workspace: ConvWorkspace | None = None,
-           upsample: bool = False):
-    """3x3 convolution, pad 1, of x or, with upsample (at stride 1), of its
-    nearest 2x upsampling. Returns (out, cache for conv2d_backward).
+           workspace: ConvWorkspace | None = None, upsample: bool = False):
+    """3x3 convolution, zero pad 1, of x or, with upsample (at stride 1), of
+    its nearest 2x upsampling. Returns (out, cache for conv2d_backward).
 
     Stride 1 sums nine shifted GEMMs on the padded input (_shifted_conv);
     stride 2 multiplies by the im2col matrix. With upsample, output phase
@@ -203,8 +193,8 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1,
     if stride == 1:
         s, taps, offsets = _geometry(w, wd, upsample)
         k, n = len(taps) // (s * s), h * (wd + 2)
-        flat = _pad(workspace.buffer("xp", (cin, h + 3, wd + 2)), x,
-                    pad_mode).reshape(cin, -1)
+        flat = _pad(workspace.buffer("xp", (cin, h + 3, wd + 2)),
+                    x).reshape(cin, -1)
         ph = workspace.buffer("ph", (cout, n))
         tap = workspace.buffer("tap", (cout, n))
         out = workspace.buffer("out", (cout, s * h, s * wd))
@@ -214,8 +204,8 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1,
             # the sum lands on an (H, W+2) grid; drop its 2 spare columns
             np.add(ph.reshape(cout, h, wd + 2)[:, :, :wd], b[:, None, None],
                    out=out[:, p // s::s, p % s::s])
-        return out, (flat, x.shape, w, stride, pad_mode, workspace, upsample)
-    xp = _pad(workspace.buffer("xp", (cin, h + 2, wd + 2)), x, pad_mode)
+        return out, (flat, x.shape, w, stride, workspace, upsample)
+    xp = _pad(workspace.buffer("xp", (cin, h + 2, wd + 2)), x)
     ho, wo = h // stride, wd // stride
     col = workspace.buffer("col", (cin, 3, 3, ho, wo))
     for di in range(3):
@@ -226,7 +216,7 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1,
     out = workspace.buffer("out", (cout, ho, wo))
     np.matmul(w.reshape(cout, cin * 9), col2, out=out.reshape(cout, ho * wo))
     out += b[:, None, None]
-    return out, (col2, x.shape, w, stride, pad_mode, workspace, upsample)
+    return out, (col2, x.shape, w, stride, workspace, upsample)
 
 
 def conv2d_backward(dout: np.ndarray, cache, input_grad: bool = True):
@@ -238,12 +228,12 @@ def conv2d_backward(dout: np.ndarray, cache, input_grad: bool = True):
     on the padded grid with zero spare columns, times the tap's slice of the
     padded input; with upsample, _MERGE folds the phase taps' gradients back
     into dw. dx is the transposed convolution: _shifted_conv with each tap
-    transposed, on its phase's output gradient padded the same way, the tap
-    read at offset (a, b) in the forward read at (2-a, 2-b). With upsample it
-    lands on the low-resolution grid. A strided conv samples the stride-1
-    conv, so there the output gradient is first zero-upsampled to the
-    input's grid."""
-    xs, xshape, w, stride, pad_mode, workspace, upsample = cache
+    transposed, on its phase's output gradient zero-padded as the forward
+    pads its input, the tap read at offset (a, b) in the forward read at
+    (2-a, 2-b). With upsample it lands on the low-resolution grid. A strided
+    conv samples the stride-1 conv, so there the output gradient is first
+    zero-upsampled to the input's grid."""
+    xs, xshape, w, stride, workspace, upsample = cache
     cin, h, wd = xshape
     cout = dout.shape[0]
     n = h * (wd + 2)
@@ -272,7 +262,7 @@ def conv2d_backward(dout: np.ndarray, cache, input_grad: bool = True):
         dout = up
     dp = workspace.buffer("dp", (cout, s * s, h + 3, wd + 2))
     for p in range(s * s):
-        _pad(dp[:, p], dout[:, p // s::s, p % s::s], pad_mode)
+        _pad(dp[:, p], dout[:, p // s::s, p % s::s])
     # phase p's padded gradient starts at p*size, and (2-a)*(W+2) + 2-b is
     # 2*(W+3) minus the forward offset a*(W+2) + b
     size = (h + 3) * (wd + 2)
@@ -348,11 +338,14 @@ def _offsets(cfg: ArchConfig):
 
 def _layout(cfg: ArchConfig):
     """(model.bin header, parameter count); the header's manifest records
-    each parameter's name, shape and offset, by sorted name."""
+    each parameter's name, shape and offset, by sorted name. Its arch also
+    holds "pad_mode": "zero": every conv pads with zeros, and the file
+    format keeps the key."""
     entries, size = _offsets(cfg)
     manifest = [{"name": name, "shape": list(shape), "offset": start}
                 for name, shape, start, _ in sorted(entries)]
-    return {"version": 1, "arch": asdict(cfg), "manifest": manifest}, size
+    arch = {**asdict(cfg), "pad_mode": "zero"}
+    return {"version": 1, "arch": arch, "manifest": manifest}, size
 
 
 def param_views(params: np.ndarray, cfg: ArchConfig) -> dict:
@@ -451,12 +444,11 @@ def forward(img: np.ndarray, params: np.ndarray, cfg: ArchConfig,
     h, w = img.shape
     if h % 4 or w % 4:
         raise ValueError(f"input dims must be divisible by 4, got {h}x{w}")
-    pm = cfg.pad_mode
     ws = new_workspace() if workspace is None else workspace
     pv = param_views(params, cfg)
 
     def conv_relu(x, name, stride, upsample=False):
-        out, c = conv2d(x, pv[name + "_w"], pv[name + "_b"], stride, pm,
+        out, c = conv2d(x, pv[name + "_w"], pv[name + "_b"], stride,
                         ws[name], upsample)
         return c, relu(out, out)
 
@@ -582,8 +574,9 @@ def save_model(path, params: np.ndarray, cfg: ArchConfig) -> None:
 
 def load_model(path):
     """Returns (parameter vector, ArchConfig). A header other than the one
-    save_model writes for its arch, or a payload of another length than
-    that arch needs, raises ValueError naming the file."""
+    save_model writes for its arch (a pad_mode other than "zero" among
+    them), or a payload of another length than that arch needs, raises
+    ValueError naming the file."""
     with open(path, "rb") as fh:
         line, payload = fh.readline(), fh.read()
     try:
@@ -592,14 +585,16 @@ def load_model(path):
         header = None
     if not isinstance(header, dict):
         raise ValueError(f"{path}: the first line is not a JSON object")
-    arch, fields = header.get("arch"), asdict(ArchConfig())
+    arch, fields = header.get("arch"), _layout(ArchConfig())[0]["arch"]
     if not isinstance(arch, dict) or arch.keys() != fields.keys() \
             or any(type(arch[k]) is not type(fields[k]) for k in fields):
         raise ValueError(f"{path}: 'arch' must hold exactly channels (int), "
                          f"sa_enabled (bool) and pad_mode (str), got "
                          f"{json.dumps(arch)}")
     try:
-        cfg = ArchConfig(**arch)
+        if arch["pad_mode"] != "zero":
+            raise ValueError(f"unknown pad_mode {arch['pad_mode']!r}")
+        cfg = ArchConfig(arch["channels"], arch["sa_enabled"])
     except ValueError as exc:
         raise ValueError(f"{path}: 'arch': {exc}") from None
     want, size = _layout(cfg)

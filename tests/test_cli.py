@@ -198,9 +198,13 @@ class TestTrainEval:
             return real(sample, rng, long_side)
 
         monkeypatch.setattr(weaktrain, "augment", skip_000)
+        # no mask changes, so rounds 2 and 3 reuse round 1's training and
+        # its history: its 2 skips are counted once
+        monkeypatch.setattr(weaktrain, "update_pseudo_mask",
+                            lambda p, emask: (None, True))
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(
-            {"epochs": 2, "stage2_start": 1, "decay_epochs": [], "rounds": 1,
+            {"epochs": 2, "stage2_start": 1, "decay_epochs": [], "rounds": 3,
              "long_side": [24, 32], "arch": {"channels": 2}}))
         assert run("train", "--data", str(dataset_dir), "--config",
                    str(cfg_file), "--out", str(tmp_path / "model")) == 0
@@ -218,6 +222,23 @@ class TestTrainEval:
         assert run("train", "--data", str(dataset_dir), "--out",
                    str(out)) == 2
         assert f"--out {out}: " in capsys.readouterr().err
+        assert out.read_text() == "not a directory"
+
+    def test_eval_out_is_a_file_fails_before_inference(self, dataset_dir,
+                                                        tmp_path, monkeypatch,
+                                                        capsys):
+        def no_inference(*args):
+            raise AssertionError("inferred despite a bad --out")
+
+        monkeypatch.setattr(weaktrain, "predict", no_inference)
+        arch = ArchConfig(channels=2)
+        save_model(tmp_path / "m.bin", init_params(0, arch), arch)
+        out = tmp_path / "e"
+        out.write_text("not a directory")
+        assert run("eval", "--data", str(dataset_dir), "--model",
+                   str(tmp_path / "m.bin"), "--out", str(out)) == 2
+        assert f"--out {out}: cannot make the run directory" \
+            in capsys.readouterr().err
         assert out.read_text() == "not a directory"
 
     def test_rerun_removes_stale_histories(self, dataset_dir, tmp_path):
@@ -361,6 +382,7 @@ class TestModelFile:
         (_edit_arch(channels="2"), "'arch' must hold exactly"),
         (_edit_arch(sa_enabled=1), "'arch' must hold exactly"),
         (_edit_arch(pad_mode="mirror"), "unknown pad_mode"),
+        (_edit_arch(pad_mode="wrap"), "unknown pad_mode 'wrap'"),
         (_edit_arch(channels=3), "header key 'manifest'"),
         (lambda h, p: (h, p[:-8]), "the payload holds"),
         (lambda h, p: (h, p + bytes(8)), "the payload holds"),
@@ -559,6 +581,9 @@ class TestGradcheckAndUsage:
         assert run("fit-ellipse", "--recist", str(dataset_dir / "recist.csv"),
                    "--image-id", "000", "--width", "0", "--height", "32",
                    "--out", str(tmp_path / "e.pgm")) == 1
+        # rls_region is set in the config file only
+        assert run("train", "--data", str(dataset_dir), "--out",
+                   str(tmp_path / "m"), "--rls-region", "off") == 1
 
     @pytest.mark.parametrize("flags, named", [
         (["--n", "0"], "--n must be >= 1, got 0"),
@@ -590,6 +615,7 @@ class TestGradcheckAndUsage:
         ('{"batch": 4}', "'batch'"),
         ('{"loss": {"clamp_eps": 1e-07}}', "'loss.clamp_eps'"),
         ('{"lr": NaN}', "lr must be positive and finite, got nan"),
+        ('{"arch": {"pad_mode": "zero"}}', "'arch.pad_mode'"),
     ])
     def test_bad_config_is_usage_error(self, dataset_dir, tmp_path, capsys,
                                        text, named):

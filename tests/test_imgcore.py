@@ -108,7 +108,7 @@ class TestAffine:
         fill = 0.7
         t = affine_compose(affine_translation(4.3, 3.1), affine_compose(
             affine_rotation(0.35, center=(28.0, 20.0)),
-            affine_scaling(0.9, 0.6)))
+            np.array([[0.9, 0.0, 0.0], [0.0, 0.6, 0.0]])))
         out = apply_affine(img, t, (50, 30), fill=fill)
         assert out.shape == (30, 50)
         inv = affine_invert(t)

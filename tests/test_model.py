@@ -68,26 +68,12 @@ class TestForward:
         for x, y in zip(a[:3], b[:3]):
             assert np.array_equal(x, y)
 
-    def test_translation_equivariance_wrap(self):
-        # wrap padding makes the whole net commute with 4px cyclic shifts
-        cfg = ArchConfig(channels=4, pad_mode="wrap")
-        params = init_params(5, cfg)
-        rng = np.random.default_rng(5)
-        for name, view in param_views(params, cfg).items():
-            if name.startswith("head"):  # heads off zero: p3 non-constant
-                view[...] = rng.uniform(-0.5, 0.5, view.shape)
-        img = rng.uniform(0, 1, (32, 32))
-        _, _, p3, _ = forward(img, params, cfg)
-        _, _, p3s, _ = forward(np.roll(img, 4, axis=1), params, cfg)
-        assert np.abs(np.roll(p3, 4, axis=1) - p3s).max() < 1e-6
-
-    @pytest.mark.parametrize("pad_mode", ["zero", "wrap"])
     @pytest.mark.parametrize("sa_enabled", [True, False])
-    def test_reused_workspace_matches_fresh(self, pad_mode, sa_enabled):
+    def test_reused_workspace_matches_fresh(self, sa_enabled):
         # one workspace over sides that grow and shrink gives the bytes of a
-        # fresh-buffer forward; 16x24 puts the wrap border of a non-square
+        # fresh-buffer forward; 16x24 puts the zero border of a non-square
         # input into buffers last shaped by a square one
-        cfg = ArchConfig(channels=3, sa_enabled=sa_enabled, pad_mode=pad_mode)
+        cfg = ArchConfig(channels=3, sa_enabled=sa_enabled)
         params = init_params(11, cfg)
         rng = np.random.default_rng(11)
         for view in param_views(params, cfg).values():
@@ -100,33 +86,29 @@ class TestForward:
             for a, b in zip(reused[:3], fresh[:3]):
                 assert a.tobytes() == b.tobytes()
 
-    @pytest.mark.parametrize("pad_mode", ["zero", "wrap"])
     @pytest.mark.parametrize("stride", [1, 2])
-    def test_conv_matches_np_pad_reference(self, pad_mode, stride):
+    def test_conv_matches_np_pad_reference(self, stride):
         # conv2d writes its own border; compare with np.pad and a direct sum
         rng = np.random.default_rng(12)
         x = rng.normal(size=(2, 8, 12))
         w = rng.normal(size=(3, 2, 3, 3))
         b = rng.normal(size=3)
-        xp = np.pad(x, ((0, 0), (1, 1), (1, 1)),
-                    mode="constant" if pad_mode == "zero" else "wrap")
+        xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
         want = np.zeros((3, 8 // stride, 12 // stride)) + b[:, None, None]
         for di in range(3):
             for dj in range(3):
                 patch = xp[:, di:di + 8:stride, dj:dj + 12:stride]
                 want += np.einsum("oc,chw->ohw", w[:, :, di, dj], patch)
         ws = ConvWorkspace()
-        conv2d(rng.normal(size=(2, 16, 16)), w, b, stride, pad_mode, ws)
-        out, _ = conv2d(x, w, b, stride, pad_mode, ws)
+        conv2d(rng.normal(size=(2, 16, 16)), w, b, stride, ws)
+        out, _ = conv2d(x, w, b, stride, ws)
         assert np.allclose(out, want, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("pad_mode", ["zero", "wrap"])
     @pytest.mark.parametrize("h, w", [(8, 12), (9, 7)])
     @pytest.mark.parametrize("first, stride",
                              [((13, 17), 1), ((4, 5), 1), ((13, 17), 2)],
                              ids=["first0", "first1", "first0-stride2"])
-    def test_stride1_matches_np_pad_reference(self, pad_mode, h, w, first,
-                                              stride):
+    def test_stride1_matches_np_pad_reference(self, h, w, first, stride):
         # out, dx and dw of the shifted-GEMM path against np.pad and direct
         # sums, on a workspace first used at a larger or a smaller shape and
         # then filled with NaN, so a stale spare row, spare column or border
@@ -141,9 +123,8 @@ class TestForward:
         # the output gradient on the input's grid, zero between the samples
         dgrid = np.zeros((3, h, w))
         dgrid[:, :ho * stride:stride, :wo * stride:stride] = dout
-        mode = "constant" if pad_mode == "zero" else "wrap"
-        xp = np.pad(x, ((0, 0), (1, 1), (1, 1)), mode=mode)
-        dp = np.pad(dgrid, ((0, 0), (1, 1), (1, 1)), mode=mode)
+        xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
+        dp = np.pad(dgrid, ((0, 0), (1, 1), (1, 1)))
         want_out = np.zeros((3, ho, wo)) + b[:, None, None]
         want_dx = np.zeros((2, h, w))
         want_dw = np.zeros(wt.shape)
@@ -157,24 +138,21 @@ class TestForward:
                                      dp[:, di:di + h, dj:dj + w])
                 want_dw[:, :, di, dj] = np.einsum("ohw,chw->oc", dout, patch)
         ws = ConvWorkspace()
-        out, cache = conv2d(rng.normal(size=(2,) + first), wt, b, stride,
-                            pad_mode, ws)
+        out, cache = conv2d(rng.normal(size=(2,) + first), wt, b, stride, ws)
         conv2d_backward(rng.normal(size=out.shape), cache)
         for flat in ws._flat.values():
             flat.fill(np.nan)
-        out, cache = conv2d(x, wt, b, stride, pad_mode, ws)
+        out, cache = conv2d(x, wt, b, stride, ws)
         assert np.allclose(out, want_out, rtol=0, atol=1e-12)
         dx, dw, db = conv2d_backward(dout, cache)
         assert np.allclose(dx, want_dx, rtol=0, atol=1e-12)
         assert np.allclose(dw, want_dw, rtol=0, atol=1e-12)
         assert np.allclose(db, dout.sum(axis=(1, 2)), rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("pad_mode", ["zero", "wrap"])
     @pytest.mark.parametrize("h, w", [(4, 6), (5, 3)])
     @pytest.mark.parametrize("first", [(13, 17), (2, 3)],
                              ids=["larger", "smaller"])
-    def test_upsampling_matches_np_repeat_reference(self, pad_mode, h, w,
-                                                    first):
+    def test_upsampling_matches_np_repeat_reference(self, h, w, first):
         # out, dx, dw and db of the phase convs against the 3x3 conv of the
         # np.repeat-upsampled input, on a workspace first used at a larger
         # or a smaller shape and then filled with NaN; dx is the adjoint of
@@ -185,10 +163,9 @@ class TestForward:
         wt = rng.normal(size=(3, 2, 3, 3))
         b = rng.normal(size=3)
         dout = rng.normal(size=(3, 2 * h, 2 * w))
-        mode = "constant" if pad_mode == "zero" else "wrap"
         up = np.repeat(np.repeat(x, 2, axis=1), 2, axis=2)
-        upp = np.pad(up, ((0, 0), (1, 1), (1, 1)), mode=mode)
-        dp = np.pad(dout, ((0, 0), (1, 1), (1, 1)), mode=mode)
+        upp = np.pad(up, ((0, 0), (1, 1), (1, 1)))
+        dp = np.pad(dout, ((0, 0), (1, 1), (1, 1)))
         want_out = np.zeros(dout.shape) + b[:, None, None]
         want_dup = np.zeros(up.shape)
         want_dw = np.zeros(wt.shape)
@@ -201,12 +178,12 @@ class TestForward:
                 want_dw[:, :, di, dj] = np.einsum("ohw,chw->oc", dout, patch)
         want_dx = want_dup.reshape(2, h, 2, w, 2).sum(axis=(2, 4))
         ws = ConvWorkspace()
-        out, cache = conv2d(rng.normal(size=(2,) + first), wt, b, 1, pad_mode,
-                            ws, upsample=True)
+        out, cache = conv2d(rng.normal(size=(2,) + first), wt, b, 1, ws,
+                            upsample=True)
         conv2d_backward(rng.normal(size=out.shape), cache)
         for flat in ws._flat.values():
             flat.fill(np.nan)
-        out, cache = conv2d(x, wt, b, 1, pad_mode, ws, upsample=True)
+        out, cache = conv2d(x, wt, b, 1, ws, upsample=True)
         assert np.allclose(out, want_out, rtol=0, atol=1e-12)
         dx, dw, db = conv2d_backward(dout, cache)
         assert np.allclose(dx, want_dx, rtol=0, atol=1e-12)
@@ -337,7 +314,7 @@ class TestBackward:
         # zero-columned output gradients, the stride-2 zero-upsampled one),
         # so a second call on one workspace-backed cache gives the same
         # grads
-        cfg = ArchConfig(channels=4, pad_mode="wrap")
+        cfg = ArchConfig(channels=4)
         params = init_params(9, cfg)
         rng = np.random.default_rng(9)
         p1, p2, p3, cache = forward(rng.uniform(0, 1, (16, 16)),
@@ -362,20 +339,18 @@ class TestBackward:
         assert dx.shape == x.shape and skipped is None
         assert np.array_equal(dw, dw0) and np.array_equal(db, db0)
 
-    @pytest.mark.parametrize("pad_mode", ["zero", "wrap"])
     @pytest.mark.parametrize("stride, upsample",
                              [(1, False), (2, False), (1, True)],
                              ids=["1", "2", "up"])
     @pytest.mark.parametrize("h, w", [(8, 12), (9, 7)])
-    def test_input_grad_is_the_adjoint(self, pad_mode, stride, upsample, h,
-                                       w):
+    def test_input_grad_is_the_adjoint(self, stride, upsample, h, w):
         # conv2d(x) - b is linear in x, so its input gradient is the adjoint:
         # <conv2d(x) - b, dout> == <x, dx> for every x and dout
         rng = np.random.default_rng(13)
         x = rng.normal(size=(2, h, w))
         wt = rng.normal(size=(3, 2, 3, 3))
         b = rng.normal(size=3)
-        out, cache = conv2d(x, wt, b, stride, pad_mode, upsample=upsample)
+        out, cache = conv2d(x, wt, b, stride, upsample=upsample)
         dout = rng.normal(size=out.shape)
         dx, _, _ = conv2d_backward(dout, cache)
         lin = out - b[:, None, None]

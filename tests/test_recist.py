@@ -155,7 +155,8 @@ class TestTransformAnnotation:
 
     def test_role_swap_on_anisotropic_scale(self):
         # stretch the short axis until it becomes the long one
-        out = transform_annotation(axis_aligned_ann(), affine_scaling(1.0, 4.0))
+        stretch = np.array([[1.0, 0.0, 0.0], [0.0, 4.0, 0.0]])
+        out = transform_annotation(axis_aligned_ann(), stretch)
         assert np.allclose(out.long_a, (0, 12))
 
     def test_collapse_rejected(self):
