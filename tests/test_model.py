@@ -13,6 +13,9 @@ from weakseg.model import (AdamState, ArchConfig, ConvWorkspace, adam_init,
                            param_views, save_model, scale_attention_backward,
                            scale_attention_fuse)
 
+# Case ids of the conv tests end in "-zero", the padding they check;
+# zero padding is the only padding the model has.
+
 
 class TestInit:
     def test_deterministic(self):
@@ -68,7 +71,8 @@ class TestForward:
         for x, y in zip(a[:3], b[:3]):
             assert np.array_equal(x, y)
 
-    @pytest.mark.parametrize("sa_enabled", [True, False])
+    @pytest.mark.parametrize("sa_enabled", [True, False],
+                             ids=["True-zero", "False-zero"])
     def test_reused_workspace_matches_fresh(self, sa_enabled):
         # one workspace over sides that grow and shrink gives the bytes of a
         # fresh-buffer forward; 16x24 puts the zero border of a non-square
@@ -86,7 +90,7 @@ class TestForward:
             for a, b in zip(reused[:3], fresh[:3]):
                 assert a.tobytes() == b.tobytes()
 
-    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("stride", [1, 2], ids=["1-zero", "2-zero"])
     def test_conv_matches_np_pad_reference(self, stride):
         # conv2d writes its own border; compare with np.pad and a direct sum
         rng = np.random.default_rng(12)
@@ -104,7 +108,8 @@ class TestForward:
         out, _ = conv2d(x, w, b, stride, ws)
         assert np.allclose(out, want, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("h, w", [(8, 12), (9, 7)])
+    @pytest.mark.parametrize("h, w", [(8, 12), (9, 7)],
+                             ids=["8-12-zero", "9-7-zero"])
     @pytest.mark.parametrize("first, stride",
                              [((13, 17), 1), ((4, 5), 1), ((13, 17), 2)],
                              ids=["first0", "first1", "first0-stride2"])
@@ -149,7 +154,8 @@ class TestForward:
         assert np.allclose(dw, want_dw, rtol=0, atol=1e-12)
         assert np.allclose(db, dout.sum(axis=(1, 2)), rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("h, w", [(4, 6), (5, 3)])
+    @pytest.mark.parametrize("h, w", [(4, 6), (5, 3)],
+                             ids=["4-6-zero", "5-3-zero"])
     @pytest.mark.parametrize("first", [(13, 17), (2, 3)],
                              ids=["larger", "smaller"])
     def test_upsampling_matches_np_repeat_reference(self, h, w, first):
@@ -341,7 +347,7 @@ class TestBackward:
 
     @pytest.mark.parametrize("stride, upsample",
                              [(1, False), (2, False), (1, True)],
-                             ids=["1", "2", "up"])
+                             ids=["1-zero", "2-zero", "up-zero"])
     @pytest.mark.parametrize("h, w", [(8, 12), (9, 7)])
     def test_input_grad_is_the_adjoint(self, stride, upsample, h, w):
         # conv2d(x) - b is linear in x, so its input gradient is the adjoint:

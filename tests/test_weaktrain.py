@@ -346,7 +346,9 @@ class TestTraining:
         # seg-only training (gradient contribution is exactly additive)
         assert np.allclose(pa, pb, atol=1e-12)
 
-    @pytest.mark.parametrize("sa_enabled", [True, False])
+    # ids end in "-zero", the padding checked, as in tests/test_model.py
+    @pytest.mark.parametrize("sa_enabled", [True, False],
+                             ids=["True-zero", "False-zero"])
     def test_workspace_matches_fresh_buffers(self, sa_enabled):
         # train_schedule reuses one conv workspace across steps; a loop over
         # the model API with fresh buffers must give byte-equal parameters.
