@@ -19,7 +19,7 @@ import numpy as np
 from . import losses, metrics, recist, weaktrain
 from .imgcore import decode_pgm, encode_pgm
 from .levelset import CvConfig, cv_evolve
-from .losses import LossConfig, bce_loss, finite_diff_check, iou_loss, rls_loss
+from .losses import bce_loss, finite_diff_check, iou_loss, rls_loss
 from .model import ArchConfig, forward, backward, init_params, load_model, \
     new_workspace, param_views, save_model
 from .synthgen import Sample, SynthConfig, gen_dataset
@@ -195,7 +195,7 @@ def cmd_eval(args) -> int:
             raise DataError(f"missing {data}/gt/{r.sample_id}.pgm: eval needs "
                             "the ground truth of every sample")
     preds = {}
-    if args.pred:
+    if args.pred is not None:
         for r in dataset:
             pred_file = Path(args.pred) / f"{r.sample_id}.pgm"
             pred = _read_pgm(pred_file) >= 0.5
@@ -204,14 +204,12 @@ def cmd_eval(args) -> int:
                 raise DataError(f"{pred_file} is {w}x{h} but its image "
                                 f"{data}/images/{r.sample_id}.pgm is {iw}x{ih}")
             preds[r.sample_id] = pred
-    elif args.model:
+    else:
         _check_model_sides(dataset, data)
         params, arch = load_model(args.model)
         workers = _worker_count()
-    else:
-        raise DataError("eval needs --model or --pred")
     out = _make_out(args.out)
-    if not args.pred:
+    if args.model is not None:
         def infer(chunk):
             # one workspace per worker: its forwards run in sequence
             ws = new_workspace()
@@ -234,8 +232,8 @@ def cmd_eval(args) -> int:
 
 
 def _read_ellipse(path) -> recist.Ellipse:
-    """Parse an --ellipse spec: a JSON object with a numeric pair "center",
-    numbers "a" and "b" and an optional number "theta"."""
+    """Parse an --ellipse spec: a JSON object with a pair of finite numbers
+    "center", finite numbers "a" and "b" and an optional finite "theta"."""
     try:
         spec = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
@@ -247,16 +245,19 @@ def _read_ellipse(path) -> recist.Ellipse:
         raise DataError(f"{path}: unknown key {unknown[0]!r}")
 
     def number(x):
-        return isinstance(x, (int, float)) and not isinstance(x, bool)
+        # finite as a float: json reads Infinity and NaN as floats, and an
+        # int past the float range would overflow later
+        return (isinstance(x, (int, float)) and not isinstance(x, bool)
+                and abs(x) <= sys.float_info.max)
 
     center = spec.get("center")
     if not (isinstance(center, list) and len(center) == 2
             and all(map(number, center))):
-        raise DataError(f"{path}: 'center' must be a pair of numbers")
+        raise DataError(f"{path}: 'center' must be a pair of finite numbers")
     spec.setdefault("theta", 0.0)
     for key in ("a", "b", "theta"):
         if not number(spec.get(key)):
-            raise DataError(f"{path}: {key!r} must be a number")
+            raise DataError(f"{path}: {key!r} must be a finite number")
     try:
         return recist.Ellipse(center=tuple(center), a=spec["a"], b=spec["b"],
                               theta=spec["theta"])
@@ -271,17 +272,15 @@ def cmd_segment_cv(args) -> int:
     except ValueError as exc:
         raise UsageError(f"--{exc}") from None
     img = _read_pgm(args.image)
-    if args.init:
+    if args.init is not None:
         init = _read_pgm(args.init) >= 0.5
         if init.shape != img.shape:
             raise DataError(
                 f"--init {args.init} is {init.shape[1]}x{init.shape[0]} but "
                 f"--image {args.image} is {img.shape[1]}x{img.shape[0]}")
-    elif args.ellipse:
+    else:
         init = recist.rasterize_ellipse(_read_ellipse(args.ellipse),
                                         (img.shape[1], img.shape[0]))
-    else:
-        raise DataError("segment-cv needs --init or --ellipse")
     mask, trace, warning = cv_evolve(img, init, cfg)
     Path(args.out).write_bytes(encode_pgm(mask.astype(np.float64)))
     if args.trace:
@@ -319,24 +318,10 @@ def cmd_gradcheck(args) -> int:
     region = rng.uniform(0, 1, shape) < 0.7
     region[0, 0] = region[0, 1] = True
     p0 = rng.uniform(0.05, 0.95, shape)
-    cfg = LossConfig()
-
-    def bce_fn(p):
-        r = bce_loss(p, g)
-        return r.value, r.grad
-
-    def iou_fn(p):
-        r = iou_loss(p, g)
-        return r.value, r.grad
-
-    def rls_fn(p):
-        r = rls_loss(p, img, region, cfg)
-        return r.value, r.grad
-
     errs = {
-        "bce": finite_diff_check(bce_fn, p0),
-        "iou": finite_diff_check(iou_fn, p0),
-        "rls": finite_diff_check(rls_fn, p0),
+        "bce": finite_diff_check(lambda p: bce_loss(p, g), p0),
+        "iou": finite_diff_check(lambda p: iou_loss(p, g), p0),
+        "rls": finite_diff_check(lambda p: rls_loss(p, img, region), p0),
         "model+losses": model_gradcheck(args.seed),
     }
     bad = False
@@ -364,13 +349,12 @@ def model_gradcheck(seed: int, size: int = 8, channels: int = 4) -> float:
     masks = []
     for s in (4, 2, 1):
         masks.append(rng.integers(0, 2, (size // s, size // s)).astype(np.int8))
-    cfg = LossConfig()
     weight = weaktrain.TrainConfig().rls_weight
 
     def fn(vec):
         p1, p2, p3, cache = forward(img, vec, arch)
         seg_val, seg_grads = losses.seg_loss((p1, p2, p3), masks)
-        r = rls_loss(p3, img, region, cfg)
+        r = rls_loss(p3, img, region)
         seg_grads[2] = seg_grads[2] + weight * r.grad
         return seg_val + weight * r.value, backward(cache, seg_grads)
 
@@ -404,15 +388,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate predictions against ground truth")
     p.add_argument("--data", required=True)
-    p.add_argument("--model")
-    p.add_argument("--pred")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--model")
+    source.add_argument("--pred")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("segment-cv", help="Chan-Vese segmentation of one image")
     p.add_argument("--image", required=True)
-    p.add_argument("--init")
-    p.add_argument("--ellipse")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--init")
+    source.add_argument("--ellipse")
     p.add_argument("--out", required=True)
     p.add_argument("--trace")
     p.add_argument("--mu", type=float, default=CvConfig.mu)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,50 +45,57 @@ class RegionMeans:
     c2: float
 
 
-@dataclass
-class LossValueGrad:
+class LossValueGrad(NamedTuple):
+    """A loss's value and its gradient; unpacks as (value, grad), the pair
+    ``finite_diff_check`` expects."""
     value: float
     grad: np.ndarray
 
 
-def _split_trimask(g: np.ndarray, p: np.ndarray):
+def _split_trimask(g, p: np.ndarray):
+    """Float 0/1 (valid, target) masks of a tri-mask the shape of p."""
+    g = np.asarray(g)
     if g.shape != p.shape:
         raise ValueError(f"shape mismatch: mask {g.shape} vs prediction {p.shape}")
-    valid = g != IGNORE
-    return valid, (g == FG).astype(np.float64)
+    return (g != IGNORE).astype(np.float64), (g == FG).astype(np.float64)
 
 
-def bce_loss(p: np.ndarray, g: np.ndarray) -> LossValueGrad:
-    """Mean binary cross entropy over non-IGNORE pixels, with the prediction
-    clamped to [CLAMP_EPS, 1-CLAMP_EPS] before the logarithms."""
-    p = np.asarray(p, dtype=np.float64)
-    valid, tgt = _split_trimask(np.asarray(g), p)
-    n = int(valid.sum())
+def _bce(p, valid, tgt) -> LossValueGrad:
+    n = float(valid.sum())
     if n == 0:
         raise ValueError("all pixels are IGNORE")
     pc = np.clip(p, CLAMP_EPS, 1.0 - CLAMP_EPS)
     terms = tgt * np.log(pc) + (1.0 - tgt) * np.log1p(-pc)
-    value = -float(terms[valid].sum()) / n
-    grad = np.zeros_like(p)
-    unsat = valid & (p > CLAMP_EPS) & (p < 1.0 - CLAMP_EPS)
-    grad[unsat] = (-(tgt[unsat] / pc[unsat])
-                   + (1.0 - tgt[unsat]) / (1.0 - pc[unsat])) / n
-    return LossValueGrad(value=value, grad=grad)
+    value = -float((valid * terms).sum()) / n
+    unsat = valid * ((p > CLAMP_EPS) & (p < 1.0 - CLAMP_EPS))
+    grad = unsat * ((1.0 - tgt) / (1.0 - pc) - tgt / pc) / n
+    return LossValueGrad(value, grad)
+
+
+def _iou(p, valid, tgt) -> LossValueGrad:
+    tp = tgt * p
+    inter = float((valid * tp).sum())
+    union = float((valid * (tgt + p - tp)).sum())
+    if union <= 0.0:
+        # empty target and empty prediction agree perfectly
+        return LossValueGrad(0.0, np.zeros_like(p))
+    # d/dp [1 - I/U] = -(g*U - I*(1-g)) / U^2
+    grad = valid * -(tgt * union - inter * (1.0 - tgt)) / union ** 2
+    return LossValueGrad(1.0 - inter / union, grad)
+
+
+def bce_loss(p: np.ndarray, g: np.ndarray) -> LossValueGrad:
+    """Mean binary cross entropy over non-IGNORE pixels, with the prediction
+    clamped to [CLAMP_EPS, 1-CLAMP_EPS] before the logarithms; the gradient
+    is 0 where the clamp binds."""
+    p = np.asarray(p, dtype=np.float64)
+    return _bce(p, *_split_trimask(g, p))
 
 
 def iou_loss(p: np.ndarray, g: np.ndarray) -> LossValueGrad:
     """Soft IoU loss 1 - sum(gp) / sum(g + p - gp) over non-IGNORE pixels."""
     p = np.asarray(p, dtype=np.float64)
-    valid, tgt = _split_trimask(np.asarray(g), p)
-    inter = float((tgt * p)[valid].sum())
-    union = float((tgt + p - tgt * p)[valid].sum())
-    grad = np.zeros_like(p)
-    if union <= 0.0:
-        # empty target and empty prediction agree perfectly
-        return LossValueGrad(value=0.0, grad=grad)
-    # d/dp [1 - I/U] = -(g*U - I*(1-g)) / U^2
-    grad[valid] = -(tgt[valid] * union - inter * (1.0 - tgt[valid])) / union ** 2
-    return LossValueGrad(value=1.0 - inter / union, grad=grad)
+    return _iou(p, *_split_trimask(g, p))
 
 
 def _region_inputs(p, img, region):
@@ -149,16 +157,13 @@ def rls_loss(p: np.ndarray, img: np.ndarray, region: np.ndarray,
 def seg_loss(preds, masks):
     """Deep-supervision segmentation loss: sum over the three scales of
     bce + iou. Returns (total value, list of per-scale gradients)."""
-    if len(preds) != len(masks):
-        raise ValueError("need one mask per prediction")
     total = 0.0
     grads = []
-    for p, g in zip(preds, masks):
-        if np.asarray(p).shape != np.asarray(g).shape:
-            raise ValueError(
-                f"shape mismatch: {np.asarray(p).shape} vs {np.asarray(g).shape}")
-        b = bce_loss(p, g)
-        i = iou_loss(p, g)
+    for p, g in zip(preds, masks, strict=True):
+        p = np.asarray(p, dtype=np.float64)
+        valid, tgt = _split_trimask(g, p)
+        b = _bce(p, valid, tgt)
+        i = _iou(p, valid, tgt)
         total += b.value + i.value
         grads.append(b.grad + i.grad)
     return total, grads

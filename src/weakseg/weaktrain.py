@@ -172,10 +172,8 @@ def update_pseudo_mask(p: np.ndarray, emask: np.ndarray):
         raise ValueError("prediction and ellipse mask shapes must match")
     pred = p >= 0.5
     fg = pred & e
-    ign = (pred | e) & ~fg
-    out = np.full(p.shape, BG, dtype=np.int8)
-    out[ign] = IGNORE
-    out[fg] = FG
+    out = np.where(fg, np.int8(FG),
+                   np.where(pred != e, np.int8(IGNORE), np.int8(BG)))
     return out, not fg.any()
 
 

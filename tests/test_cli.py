@@ -272,7 +272,7 @@ class TestTrainEval:
 
     def test_eval_without_source_fails(self, dataset_dir, tmp_path):
         assert run("eval", "--data", str(dataset_dir),
-                   "--out", str(tmp_path / "e")) == 2
+                   "--out", str(tmp_path / "e")) == 1
 
     @pytest.mark.parametrize("source", ["--model", "--pred"])
     def test_eval_without_gt_fails_before_inference(self, dataset_dir,
@@ -499,7 +499,7 @@ class TestSegmentCv:
         img_file = tmp_path / "img.pgm"
         img_file.write_bytes(encode_pgm(np.full((8, 8), 0.5)))
         assert run("segment-cv", "--image", str(img_file),
-                   "--out", str(tmp_path / "m.pgm")) == 2
+                   "--out", str(tmp_path / "m.pgm")) == 1
 
     @pytest.mark.parametrize("text, named", [
         ('{"a": 3, "b": 2}', "'center'"),
@@ -511,6 +511,11 @@ class TestSegmentCv:
         ('{"center": [4, 4], "a": 3, "b": 2, "tehta": 1}', "'tehta'"),
         ('{"center": [4, 4], "a": 2, "b": 3}', "a >= b"),
         ('{"center": [4, 4', "not valid JSON"),
+        ('{"center": [4, 4], "a": Infinity, "b": 2}', "'a'"),
+        ('{"center": [Infinity, 4], "a": 3, "b": 2}', "'center'"),
+        ('{"center": [NaN, 4], "a": 3, "b": 2}', "'center'"),
+        pytest.param('{"center": [4, 4], "a": 1%s, "b": 2}' % ("0" * 400),
+                     "'a'", id="a-past-the-float-range"),
     ])
     def test_bad_ellipse_is_data_error(self, tmp_path, capsys, text, named):
         img_file = tmp_path / "img.pgm"
@@ -584,6 +589,16 @@ class TestGradcheckAndUsage:
         # rls_region is set in the config file only
         assert run("train", "--data", str(dataset_dir), "--out",
                    str(tmp_path / "m"), "--rls-region", "off") == 1
+        # exactly one source: the second, a missing file, is never opened
+        assert run("eval", "--data", str(dataset_dir), "--pred",
+                   str(dataset_dir / "gt"), "--model", str(tmp_path / "no.bin"),
+                   "--out", str(tmp_path / "e")) == 1
+        img_file = dataset_dir / "images" / "000.pgm"
+        assert run("segment-cv", "--image", str(img_file), "--init",
+                   str(img_file), "--ellipse", str(tmp_path / "no.json"),
+                   "--out", str(tmp_path / "m.pgm")) == 1
+        assert not (tmp_path / "e").exists()
+        assert not (tmp_path / "m.pgm").exists()
 
     @pytest.mark.parametrize("flags, named", [
         (["--n", "0"], "--n must be >= 1, got 0"),

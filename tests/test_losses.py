@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weakseg.imgcore import BG, FG, IGNORE
-from weakseg.losses import (DegenerateRegionError, LossConfig, bce_loss,
-                            finite_diff_check, iou_loss, region_means,
-                            rls_loss, seg_loss)
+from weakseg.losses import (CLAMP_EPS, DegenerateRegionError, LossConfig,
+                            bce_loss, finite_diff_check, iou_loss,
+                            region_means, rls_loss, seg_loss)
 
 
 def tri(values):
@@ -33,16 +33,21 @@ class TestBce:
         with pytest.raises(ValueError):
             bce_loss(np.array([[0.5]]), tri([[IGNORE]]))
 
+    def test_grad_zero_where_clamped_or_ignored(self):
+        lo, hi = CLAMP_EPS, 1.0 - CLAMP_EPS
+        p = np.array([[0.0, lo, hi, 1.0, 0.3, 0.3],
+                      [0.0, lo, hi, 1.0, 0.7, 0.7]])
+        g = tri([[FG, FG, FG, FG, FG, IGNORE],
+                 [BG, BG, BG, BG, BG, IGNORE]])
+        grad = bce_loss(p, g).grad
+        assert np.all(grad[:, [0, 1, 2, 3, 5]] == 0.0)
+        assert np.all(grad[:, 4] != 0.0)
+
     def test_finite_differences(self):
         rng = np.random.default_rng(0)
         p = rng.uniform(0.05, 0.95, (8, 8))
         g = rng.integers(0, 3, (8, 8)).astype(np.int8)
-
-        def fn(x):
-            r = bce_loss(x, g)
-            return r.value, r.grad
-
-        assert finite_diff_check(fn, p) < 1e-4
+        assert finite_diff_check(lambda x: bce_loss(x, g), p) < 1e-4
 
 
 class TestIou:
@@ -65,16 +70,17 @@ class TestIou:
         assert out.value == 0.0
         assert np.all(out.grad == 0.0)
 
+    def test_grad_zero_at_ignore(self):
+        g = tri([[FG, BG, IGNORE], [IGNORE, FG, BG]])
+        grad = iou_loss(np.full((2, 3), 0.4), g).grad
+        assert np.all(grad[g == IGNORE] == 0.0)
+        assert np.all(grad[g != IGNORE] != 0.0)
+
     def test_finite_differences(self):
         rng = np.random.default_rng(1)
         p = rng.uniform(0.05, 0.95, (8, 8))
         g = rng.integers(0, 3, (8, 8)).astype(np.int8)
-
-        def fn(x):
-            r = iou_loss(x, g)
-            return r.value, r.grad
-
-        assert finite_diff_check(fn, p) < 1e-4
+        assert finite_diff_check(lambda x: iou_loss(x, g), p) < 1e-4
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -205,12 +211,7 @@ class TestRls:
         p0 = rng.uniform(0.05, 0.95, (8, 8))
         region = rng.uniform(0, 1, (8, 8)) < 0.7
         region[0, :2] = True
-
-        def fn(x):
-            r = rls_loss(x, img, region)
-            return r.value, r.grad
-
-        assert finite_diff_check(fn, p0) < 1e-4
+        assert finite_diff_check(lambda x: rls_loss(x, img, region), p0) < 1e-4
 
     def test_nonnegative(self):
         rng = np.random.default_rng(7)
@@ -254,6 +255,48 @@ class TestSegLoss:
         masks[1] = masks[1][:1]
         with pytest.raises(ValueError):
             seg_loss(preds, masks)
+
+    def test_needs_one_mask_per_prediction(self):
+        preds, masks = self._triple(10)
+        with pytest.raises(ValueError):
+            seg_loss(preds, masks[:2])
+
+    @staticmethod
+    def _gather_reference(p, g):
+        """bce + iou computed on the non-IGNORE pixels gathered by boolean
+        indexing and scattered back into a zeroed gradient."""
+        valid, tgt = g != IGNORE, (g == FG).astype(np.float64)
+        n = int(valid.sum())
+        pc = np.clip(p, CLAMP_EPS, 1.0 - CLAMP_EPS)
+        terms = tgt * np.log(pc) + (1.0 - tgt) * np.log1p(-pc)
+        value = -float(terms[valid].sum()) / n
+        grad = np.zeros_like(p)
+        unsat = valid & (p > CLAMP_EPS) & (p < 1.0 - CLAMP_EPS)
+        grad[unsat] = (-(tgt[unsat] / pc[unsat])
+                       + (1.0 - tgt[unsat]) / (1.0 - pc[unsat])) / n
+        inter = float((tgt * p)[valid].sum())
+        union = float((tgt + p - tgt * p)[valid].sum())
+        value += 1.0 - inter / union
+        igrad = np.zeros_like(p)
+        igrad[valid] = -(tgt[valid] * union
+                         - inter * (1.0 - tgt[valid])) / union ** 2
+        return value, grad + igrad
+
+    def test_matches_gather_reference_without_ignore(self):
+        # full-grid masked sums add the same terms in the same order as the
+        # gathered ones when no pixel is IGNORE, so the bytes agree
+        rng = np.random.default_rng(12)
+        for side in (8, 64):
+            logits = rng.normal(0, 8, (side, side))  # saturates some pixels
+            p3 = 1.0 / (1.0 + np.exp(-logits))
+            preds = [p3[1::4, 1::4].copy(), p3[::2, ::2].copy(), p3]
+            masks = [rng.integers(0, 2, p.shape).astype(np.int8)
+                     for p in preds]
+            value, grads = seg_loss(preds, masks)
+            refs = [self._gather_reference(p, g) for p, g in zip(preds, masks)]
+            assert value == sum(v for v, _ in refs)
+            for got, (_, ref) in zip(grads, refs):
+                assert got.tobytes() == ref.tobytes()
 
 
 def test_finite_diff_check_quadratic():
