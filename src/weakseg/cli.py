@@ -207,7 +207,7 @@ def cmd_eval(args) -> int:
     else:
         _check_model_sides(dataset, data)
         params, arch = load_model(args.model)
-        workers = _worker_count()
+        workers = min(_worker_count(), len(dataset))
     out = _make_out(args.out)
     if args.model is not None:
         def infer(chunk):
@@ -287,7 +287,8 @@ def cmd_segment_cv(args) -> int:
         lines = ["iter,energy"] + [f"{i},{e:.10g}" for i, e in enumerate(trace)]
         Path(args.trace).write_text("\n".join(lines) + "\n")
     if warning:
-        print("warning: evolution stopped early (degenerate region means)")
+        print("warning: evolution stopped early (degenerate region means)",
+              file=sys.stderr)
     print(f"wrote {args.out} ({int(mask.sum())} foreground pixels, "
           f"{len(trace) - 1} iterations)")
     return 0

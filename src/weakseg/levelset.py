@@ -28,6 +28,9 @@ from .losses import DegenerateRegionError, data_term
 
 _LEN_ETA = 1e-12  # smoothing inside the gradient-magnitude square root
 _N_WORK = 6  # scratch arrays of the image's shape per energy evaluation
+# nominal descent step; backtracking halves it whenever it would not
+# decrease the energy, so a generous value converges fastest
+STEP = 20.0
 
 
 @dataclass(frozen=True)
@@ -37,9 +40,6 @@ class CvConfig:
     lambda1: float = 1.0
     lambda2: float = 1.0
     eps: float = 1.0
-    # nominal descent step; backtracking halves it whenever it would not
-    # decrease the energy, so a generous default converges fastest
-    step: float = 20.0
     iters: int = 500
     # stop once the mask has not changed for this many accepted iterations
     settle: int = 50
@@ -49,7 +49,7 @@ class CvConfig:
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(
                     f"{name} must be non-negative and finite, got {value}")
-        for name in ("lambda1", "lambda2", "eps", "step"):
+        for name in ("lambda1", "lambda2", "eps"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(
@@ -160,7 +160,7 @@ def cv_evolve(img: np.ndarray, init: np.ndarray, cfg: CvConfig = CvConfig()):
         trace.append(energy)
         for _ in range(cfg.iters):
             # backtracking keeps the trace monotone even for stiff steps
-            step = cfg.step
+            step = STEP
             for _ in range(30):
                 np.subtract(phi, np.multiply(step, grad, out=cand), out=cand)
                 e_new = cv_energy(cand, v, cfg, g_new, work)

@@ -9,7 +9,6 @@ loss values nor to gradients.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -20,23 +19,12 @@ from .imgcore import FG, IGNORE
 
 # bce_loss clamps predictions to [CLAMP_EPS, 1 - CLAMP_EPS] before the logs
 CLAMP_EPS = 1e-7
+# rls_loss weighs the inside and outside residuals by these
+RLS_LAMBDA1, RLS_LAMBDA2 = 1.0, 3.0
 
 
 class DegenerateRegionError(ValueError):
     """Raised when a region mean has (near) zero weight mass."""
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    lambda1: float = 1.0
-    lambda2: float = 3.0
-
-    def __post_init__(self):
-        for name in ("lambda1", "lambda2"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(
-                    f"{name} must be non-negative and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -135,13 +123,14 @@ def region_means(p: np.ndarray, img: np.ndarray, region: np.ndarray) -> RegionMe
     return data_term(p[r], v[r], 1.0, 1.0)[1]
 
 
-def rls_loss(p: np.ndarray, img: np.ndarray, region: np.ndarray,
-             cfg: LossConfig = LossConfig()) -> LossValueGrad:
+def rls_loss(p: np.ndarray, img: np.ndarray,
+             region: np.ndarray) -> LossValueGrad:
     """Regional level set loss over the constrained region:
 
         (1/|R|) sum_R [ l1 * p * (v - c1)^2 + l2 * (1 - p) * (v - c2)^2 ]
 
-    with c1, c2 the prediction-weighted region means. The gradient treats
+    with l1, l2 = RLS_LAMBDA1, RLS_LAMBDA2 and c1, c2 the
+    prediction-weighted region means. The gradient treats
     c1, c2 as constants, which is exact for the region means: they minimise
     their weighted sums, so sum_R p (v - c1) = 0 = sum_R (1 - p) (v - c2).
     """
@@ -149,7 +138,7 @@ def rls_loss(p: np.ndarray, img: np.ndarray, region: np.ndarray,
     n = int(r.sum())
     grad = np.zeros_like(p)
     dr = np.empty(n)
-    value, _ = data_term(p[r], v[r], cfg.lambda1, cfg.lambda2, dr)
+    value, _ = data_term(p[r], v[r], RLS_LAMBDA1, RLS_LAMBDA2, dr)
     grad[r] = dr / n
     return LossValueGrad(value=value / n, grad=grad)
 

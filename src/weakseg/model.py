@@ -1,6 +1,6 @@
-"""Toy convolutional segmenter with three-scale deep supervision and an
-optional scale-attention fusion of the two encoder scales, implemented with
-manual forward/backward passes in numpy.
+"""Toy convolutional segmenter with three-scale deep supervision and a
+scale-attention fusion of the two encoder scales, implemented with manual
+forward/backward passes in numpy.
 
 Feature maps are (channels, height, width) float64 arrays. The encoder has
 two stride-2 stages (features at 1/2 and 1/4 resolution); the decoder emits
@@ -47,7 +47,6 @@ from scipy.special import expit
 @dataclass(frozen=True)
 class ArchConfig:
     channels: int = 16
-    sa_enabled: bool = True
 
     def __post_init__(self):
         if self.channels < 1:
@@ -314,12 +313,11 @@ def _param_shapes(cfg: ArchConfig) -> dict:
         "head2_w": (c,), "head2_b": (),
         "head3_w": (c,), "head3_b": (),
     }
-    if cfg.sa_enabled:
-        for s in (1, 2):
-            shapes[f"sa{s}_w1"] = (c, c)
-            shapes[f"sa{s}_b1"] = (c,)
-            shapes[f"sa{s}_w2"] = (c, c)
-            shapes[f"sa{s}_b2"] = (c,)
+    for s in (1, 2):
+        shapes[f"sa{s}_w1"] = (c, c)
+        shapes[f"sa{s}_b1"] = (c,)
+        shapes[f"sa{s}_w2"] = (c, c)
+        shapes[f"sa{s}_b2"] = (c,)
     return shapes
 
 
@@ -339,12 +337,13 @@ def _offsets(cfg: ArchConfig):
 def _layout(cfg: ArchConfig):
     """(model.bin header, parameter count); the header's manifest records
     each parameter's name, shape and offset, by sorted name. Its arch also
-    holds "pad_mode": "zero": every conv pads with zeros, and the file
-    format keeps the key."""
+    holds "sa_enabled": true and "pad_mode": "zero": scale attention always
+    runs and every conv pads with zeros, and the file format keeps both
+    keys."""
     entries, size = _offsets(cfg)
     manifest = [{"name": name, "shape": list(shape), "offset": start}
                 for name, shape, start, _ in sorted(entries)]
-    arch = {**asdict(cfg), "pad_mode": "zero"}
+    arch = {**asdict(cfg), "sa_enabled": True, "pad_mode": "zero"}
     return {"version": 1, "arch": arch, "manifest": manifest}, size
 
 
@@ -464,10 +463,7 @@ def forward(img: np.ndarray, params: np.ndarray, cfg: ArchConfig,
     c2, e2 = conv_relu(f1, "enc2", 2)
     c3, f2 = conv_relu(e2, "enc3", 1)
     u2 = up2(f2, ws["dec0"].buffer("up", f1.shape))
-    if cfg.sa_enabled:
-        fused, sa_cache = scale_attention_fuse(f1, u2, pv)
-    else:
-        fused, sa_cache = 0.5 * (f1 + u2), None
+    fused, sa_cache = scale_attention_fuse(f1, u2, pv)
     c4, d1 = conv_relu(fused, "dec0", 2)
     p1 = expit(conv1x1(d1, pv["head1_w"], pv["head1_b"]))
     c5, d2 = conv_relu(cat(d1, p1, "dec1"), "dec1", 1, upsample=True)
@@ -520,13 +516,8 @@ def backward(cache, dps) -> np.ndarray:
     dd1 = dcat1[:-1] + _head_backward(dp1 + dcat1[-1], p1, d1, "head1",
                                       params, grads)
     dfused = conv_backward("dec0", dd1 * (d1 > 0), c4)
-
-    if cfg.sa_enabled:
-        df1, du2 = scale_attention_backward(dfused, cache["sa_cache"], params,
-                                            grads)
-    else:
-        df1 = 0.5 * dfused
-        du2 = 0.5 * dfused
+    df1, du2 = scale_attention_backward(dfused, cache["sa_cache"], params,
+                                        grads)
     df2 = up2_backward(du2)
 
     de2 = conv_backward("enc3", df2 * (f2 > 0), c3)
@@ -539,13 +530,15 @@ def backward(cache, dps) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Adam
 
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 def adam_init(params: np.ndarray) -> AdamState:
     return AdamState(m=np.zeros_like(params), v=np.zeros_like(params))
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
-              lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8):
+              lr: float):
     """One in-place Adam update of the parameter vector; returns (params,
     state). A non-finite gradient raises FloatingPointError naming its first
     index before params or state change."""
@@ -554,11 +547,11 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
         raise FloatingPointError("non-finite gradient at parameter index "
                                  f"{int(np.argmin(finite))}")
     state.step += 1
-    state.m = beta1 * state.m + (1.0 - beta1) * grads
-    state.v = beta2 * state.v + (1.0 - beta2) * grads * grads
-    mhat = state.m / (1.0 - beta1 ** state.step)
-    vhat = state.v / (1.0 - beta2 ** state.step)
-    params -= lr * mhat / (np.sqrt(vhat) + eps)
+    state.m = _BETA1 * state.m + (1.0 - _BETA1) * grads
+    state.v = _BETA2 * state.v + (1.0 - _BETA2) * grads * grads
+    mhat = state.m / (1.0 - _BETA1 ** state.step)
+    vhat = state.v / (1.0 - _BETA2 ** state.step)
+    params -= lr * mhat / (np.sqrt(vhat) + _ADAM_EPS)
     return params, state
 
 
@@ -574,9 +567,9 @@ def save_model(path, params: np.ndarray, cfg: ArchConfig) -> None:
 
 def load_model(path):
     """Returns (parameter vector, ArchConfig). A header other than the one
-    save_model writes for its arch (a pad_mode other than "zero" among
-    them), or a payload of another length than that arch needs, raises
-    ValueError naming the file."""
+    save_model writes for its arch (an sa_enabled other than true or a
+    pad_mode other than "zero" among them), or a payload of another length
+    than that arch needs, raises ValueError naming the file."""
     with open(path, "rb") as fh:
         line, payload = fh.readline(), fh.read()
     try:
@@ -594,7 +587,10 @@ def load_model(path):
     try:
         if arch["pad_mode"] != "zero":
             raise ValueError(f"unknown pad_mode {arch['pad_mode']!r}")
-        cfg = ArchConfig(arch["channels"], arch["sa_enabled"])
+        if not arch["sa_enabled"]:
+            raise ValueError("sa_enabled must be true: scale attention "
+                             "always runs")
+        cfg = ArchConfig(arch["channels"])
     except ValueError as exc:
         raise ValueError(f"{path}: 'arch': {exc}") from None
     want, size = _layout(cfg)

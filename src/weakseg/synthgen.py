@@ -28,7 +28,7 @@ from .recist import RecistAnnotation, Ellipse, fit_ellipse, rasterize_ellipse, \
     constrained_region
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthConfig:
     size: int = 64
     radius_range: tuple[float, float] = (10.0, 16.0)
@@ -50,6 +50,14 @@ class SynthConfig:
         if not (0.0 <= self.irregularity < 1.0):
             raise ValueError(f"irregularity must lie in [0, 1), got "
                              f"{self.irregularity}")
+        # gen_lesion keeps a margin of r * (1 + irregularity) + 2 px around
+        # the centre of a lesion of radius r
+        radius = max(self.radius_range)
+        need = 2 * (radius * (1.0 + self.irregularity) + 2.0)
+        if need >= self.size:
+            raise ValueError(f"size {self.size} is too small for a lesion of "
+                             f"radius up to {radius:.1f}, which needs more "
+                             f"than {need:.1f} px")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ValueError(f"noise_sigma must be non-negative and finite, "
                              f"got {self.noise_sigma}")
@@ -160,10 +168,6 @@ def gen_lesion(cfg: SynthConfig, rng: np.random.Generator,
     s = cfg.size
     radius = rng.uniform(*cfg.radius_range)
     margin = radius * (1.0 + cfg.irregularity) + 2.0
-    if 2 * margin >= s:
-        raise ValueError(f"size {s} is too small for a lesion of radius "
-                         f"{radius:.1f}, which needs more than "
-                         f"{2 * margin:.1f} px")
     center = (rng.uniform(margin, s - margin), rng.uniform(margin, s - margin))
     gt = _star_mask(s, center, radius, cfg.irregularity, rng)
     contrast = rng.uniform(*cfg.contrast_range)

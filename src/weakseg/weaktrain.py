@@ -21,7 +21,7 @@ from scipy.ndimage import gaussian_filter
 from . import imgcore
 from .imgcore import BG, FG, IGNORE, affine_compose, affine_rotation, \
     affine_scaling, affine_translation, apply_affine
-from .losses import DegenerateRegionError, LossConfig, rls_loss, seg_loss
+from .losses import DegenerateRegionError, rls_loss, seg_loss
 from .model import ArchConfig, adam_init, adam_step, backward, forward, \
     init_params, new_workspace
 from .recist import DegenerateAnnotationError, rasterize_ellipse, \
@@ -42,7 +42,6 @@ class TrainConfig:
     augment: bool = True
     rls_region: str = "constrained"  # "constrained" | "whole_image" | "off"
     arch: ArchConfig = ArchConfig()
-    loss: LossConfig = LossConfig()
 
     def __post_init__(self):
         if not (0 < self.stage2_start <= self.epochs):
@@ -256,7 +255,7 @@ def _sample_losses(sample: Sample, params, cfg: TrainConfig, with_rls: bool,
         region = sample.region if cfg.rls_region == "constrained" \
             else np.ones_like(sample.region, dtype=bool)
         try:
-            r = rls_loss(p3, sample.image, region, cfg.loss)
+            r = rls_loss(p3, sample.image, region)
         except DegenerateRegionError:
             rls_val = None
         else:

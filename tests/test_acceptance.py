@@ -16,8 +16,8 @@ import pytest
 from weakseg.cli import cli_main, model_gradcheck
 from weakseg.imgcore import FG
 from weakseg.levelset import CvConfig, cv_energy, cv_evolve, smooth_heaviside
-from weakseg.losses import (LossConfig, bce_loss, finite_diff_check, iou_loss,
-                            region_means, rls_loss)
+from weakseg.losses import (RLS_LAMBDA1, RLS_LAMBDA2, bce_loss,
+                            finite_diff_check, iou_loss, region_means, rls_loss)
 from weakseg.metrics import prf_dice, summarize
 from weakseg.model import ArchConfig
 from weakseg.recist import Ellipse, rasterize_ellipse
@@ -72,18 +72,17 @@ def test_criterion_1_gradient_correctness():
     region = rng.uniform(0, 1, (8, 8)) < 0.7
     region[0, :2] = True
     p0 = rng.uniform(0.05, 0.95, (8, 8))
-    cfg = LossConfig()
     frozen = region_means(p0, img, region)
     n = int(region.sum())
     d1 = (img - frozen.c1) ** 2
     d2 = (img - frozen.c2) ** 2
 
     def rls_frozen(p):
-        val = float((cfg.lambda1 * p * d1
-                     + cfg.lambda2 * (1 - p) * d2)[region].sum()) / n
+        val = float((RLS_LAMBDA1 * p * d1
+                     + RLS_LAMBDA2 * (1 - p) * d2)[region].sum()) / n
         grad = np.zeros_like(p)
-        grad[region] = (cfg.lambda1 * d1[region]
-                        - cfg.lambda2 * d2[region]) / n
+        grad[region] = (RLS_LAMBDA1 * d1[region]
+                        - RLS_LAMBDA2 * d2[region]) / n
         return val, grad
 
     loss_errs = {
@@ -130,11 +129,11 @@ def test_criterion_3_energy_matches_rls():
         img = rng.uniform(0, 1, (12, 12))
         phi = np.where(rng.uniform(0, 1, (12, 12)) < 0.5, 1.0, -1.0)
         phi[0, 0], phi[0, 1] = 1.0, -1.0
-        cfg = CvConfig(mu=0.0, nu=0.0, lambda1=1.0, lambda2=3.0, eps=1e-3)
+        cfg = CvConfig(mu=0.0, nu=0.0, lambda1=RLS_LAMBDA1,
+                       lambda2=RLS_LAMBDA2, eps=1e-3)
         p = smooth_heaviside(phi, cfg.eps)
         energy = cv_energy(phi, img, cfg)
-        loss = rls_loss(p, img, np.ones_like(img, dtype=bool),
-                        LossConfig(lambda1=1.0, lambda2=3.0))
+        loss = rls_loss(p, img, np.ones_like(img, dtype=bool))
         worst = max(worst, abs(energy - img.size * loss.value) / abs(energy))
     ok = worst < 1e-6
     report("criterion 3 (cv_energy = |I| * rls)", ok,

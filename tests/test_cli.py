@@ -101,7 +101,7 @@ class TestSynth:
 
     def test_writes_layout(self, tmp_path):
         out = tmp_path / "d"
-        assert run("synth", "--n", "2", "--seed", "3", "--size", "32",
+        assert run("synth", "--n", "2", "--seed", "3", "--size", "48",
                    "--out", str(out)) == 0
         assert (out / "images" / "000.pgm").exists()
         assert (out / "gt" / "001.pgm").exists()
@@ -111,7 +111,7 @@ class TestSynth:
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
-            assert run("synth", "--n", "2", "--seed", "3", "--size", "32",
+            assert run("synth", "--n", "2", "--seed", "3", "--size", "48",
                        "--out", str(out)) == 0
         for rel in ("images/000.pgm", "gt/000.pgm", "recist.csv",
                     "manifest.csv"):
@@ -163,6 +163,32 @@ class TestTrainEval:
         rows = outputs[0][0].decode().splitlines()[1:]
         assert len(rows) == 7
         assert len({row.split(",", 1)[1] for row in rows}) > 1
+
+    def test_eval_model_caps_workers_at_the_sample_count(self, dataset_dir,
+                                                         tmp_path,
+                                                         monkeypatch):
+        # 8 requested workers on 3 samples start 3 and give the 1-worker bytes
+        arch = ArchConfig(channels=2)
+        params = init_params(6, arch)
+        params += np.random.default_rng(6).uniform(-0.5, 0.5, params.shape)
+        save_model(tmp_path / "m.bin", params, arch)
+        real, started = cli.ThreadPoolExecutor, []
+
+        def recording(max_workers):
+            started.append(max_workers)
+            return real(max_workers)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", recording)
+        outputs = []
+        for threads in ("1", "8"):
+            monkeypatch.setenv("WEAKSEG_THREADS", threads)
+            out = tmp_path / f"eval{threads}"
+            assert run("eval", "--data", str(dataset_dir), "--model",
+                       str(tmp_path / "m.bin"), "--out", str(out)) == 0
+            outputs.append([(out / name).read_bytes() for name in
+                            ("metrics.csv", "summary.json", "histogram.csv")])
+        assert started == [1, 3]
+        assert outputs[0] == outputs[1]
 
     def test_degenerate_rls_region_drops_the_term(self, dataset_dir,
                                                   tmp_path, monkeypatch,
@@ -381,6 +407,7 @@ class TestModelFile:
         (_edit_arch(depth=3), "'arch' must hold exactly"),
         (_edit_arch(channels="2"), "'arch' must hold exactly"),
         (_edit_arch(sa_enabled=1), "'arch' must hold exactly"),
+        (_edit_arch(sa_enabled=False), "sa_enabled must be true"),
         (_edit_arch(pad_mode="mirror"), "unknown pad_mode"),
         (_edit_arch(pad_mode="wrap"), "unknown pad_mode 'wrap'"),
         (_edit_arch(channels=3), "header key 'manifest'"),
@@ -539,6 +566,18 @@ class TestSegmentCv:
                    flag, value) == 1
         assert flag in capsys.readouterr().err
 
+    def test_degenerate_solve_warns_on_stderr(self, tmp_path, capsys,
+                                              monkeypatch):
+        img_file = tmp_path / "img.pgm"
+        img_file.write_bytes(encode_pgm(np.full((8, 8), 0.5)))
+        monkeypatch.setattr(cli, "cv_evolve", lambda img, init, cfg:
+                            (init, np.zeros(3), True))
+        assert run("segment-cv", "--image", str(img_file), "--init",
+                   str(img_file), "--out", str(tmp_path / "m.pgm")) == 0
+        out, err = capsys.readouterr()
+        assert "warning: evolution stopped early" in err
+        assert "warning" not in out and "2 iterations" in out
+
     def test_init_shape_mismatch_names_both_files(self, tmp_path, capsys):
         img_file = tmp_path / "img.pgm"
         img_file.write_bytes(encode_pgm(np.full((8, 8), 0.5)))
@@ -608,6 +647,9 @@ class TestGradcheckAndUsage:
         (["--distractors", "-1"], "--distractors must be >= 0"),
         (["--irregularity", "1"], "--irregularity must lie in [0, 1)"),
         (["--seed", "-1"], "--seed must be >= 0"),
+        # the flags alone decide: no seed draws a lesion that fits in 40 px
+        *[(["--size", "40", "--seed", seed], "--size 40 is too small")
+          for seed in "0123"],
     ])
     def test_bad_synth_flag_is_named(self, tmp_path, capsys, flags, named):
         assert run("synth", "--n", "2", *flags,
@@ -626,9 +668,11 @@ class TestGradcheckAndUsage:
         ('{"epochs": "8"}', "'epochs'"),
         ("[1, 2]", "must be a JSON object"),
         ('{"arch": 4}', "'arch' must be a JSON object"),
-        ('{"loss": {"rls_weight": 5}}', "'loss.rls_weight'"),
+        ('{"loss": {"rls_weight": 5}}', "'loss'"),
         ('{"batch": 4}', "'batch'"),
-        ('{"loss": {"clamp_eps": 1e-07}}', "'loss.clamp_eps'"),
+        ('{"loss": {"clamp_eps": 1e-07}}', "'loss'"),
+        ('{"loss": {}}', "'loss'"),
+        ('{"arch": {"sa_enabled": false}}', "'arch.sa_enabled'"),
         ('{"lr": NaN}', "lr must be positive and finite, got nan"),
         ('{"arch": {"pad_mode": "zero"}}', "'arch.pad_mode'"),
     ])

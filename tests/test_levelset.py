@@ -6,7 +6,7 @@ import pytest
 from weakseg import levelset
 from weakseg.levelset import (CvConfig, cv_energy, cv_evolve, smooth_delta,
                               smooth_heaviside)
-from weakseg.losses import (DegenerateRegionError, LossConfig,
+from weakseg.losses import (RLS_LAMBDA1, RLS_LAMBDA2, DegenerateRegionError,
                             finite_diff_check, rls_loss)
 from scipy.ndimage import distance_transform_edt
 from weakseg.metrics import prf_dice
@@ -66,11 +66,11 @@ class TestEnergy:
             r = np.random.default_rng(seed)
             img = r.uniform(0, 1, (12, 12))
             phi = np.where(r.uniform(0, 1, (12, 12)) < 0.5, 1.0, -1.0)
-            cfg = CvConfig(mu=0.0, nu=0.0, lambda1=1.0, lambda2=3.0, eps=1e-3)
+            cfg = CvConfig(mu=0.0, nu=0.0, lambda1=RLS_LAMBDA1,
+                           lambda2=RLS_LAMBDA2, eps=1e-3)
             p = smooth_heaviside(phi, cfg.eps)
             energy = cv_energy(phi, img, cfg)
-            loss = rls_loss(p, img, np.ones_like(img, dtype=bool),
-                            LossConfig(lambda1=1.0, lambda2=3.0))
+            loss = rls_loss(p, img, np.ones_like(img, dtype=bool))
             assert abs(energy - img.size * loss.value) <= 1e-9 * abs(energy)
 
     def test_degenerate_phi(self):
@@ -204,7 +204,7 @@ def _ref_cv_evolve(img, init, cfg):
         energy, grad = _ref_energy_and_grad(phi, v, cfg)
         trace.append(energy)
         for _ in range(cfg.iters):
-            step = cfg.step
+            step = levelset.STEP
             for _ in range(30):
                 cand = phi - step * grad
                 e_new = _ref_cv_energy(cand, v, cfg)
@@ -250,6 +250,9 @@ class TestFusedSolverOracle:
     ])
     def test_bytes_equal_reference(self, monkeypatch, shape, kw, backtracks):
         img, init = self.lesion(shape)
+        kw = dict(kw)
+        # the nominal step is a module constant; both solvers read it
+        monkeypatch.setattr(levelset, "STEP", kw.pop("step", levelset.STEP))
         cfg = CvConfig(**kw)
         calls = []
         fused = levelset.cv_energy
@@ -335,8 +338,6 @@ class TestConfigValidation:
         ("lambda1", float("nan")), ("lambda1", 0.0), ("lambda1", -1.0),
         ("lambda2", float("inf")), ("lambda2", 0.0),
         ("eps", float("nan")), ("eps", -0.5),
-        ("step", float("nan")), ("step", -1.0), ("step", 0.0),
-        ("step", float("inf")),
         ("settle", 0), ("settle", -3), ("iters", 0),
         ("mu", float("nan")), ("mu", float("inf")), ("nu", -1.0),
         ("nu", float("inf")),

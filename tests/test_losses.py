@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weakseg.imgcore import BG, FG, IGNORE
-from weakseg.losses import (CLAMP_EPS, DegenerateRegionError, LossConfig,
-                            bce_loss, finite_diff_check, iou_loss,
-                            region_means, rls_loss, seg_loss)
+from weakseg.losses import (CLAMP_EPS, RLS_LAMBDA1, RLS_LAMBDA2,
+                            DegenerateRegionError, bce_loss, data_term,
+                            finite_diff_check, iou_loss, region_means,
+                            rls_loss, seg_loss)
 
 
 def tri(values):
@@ -136,8 +137,8 @@ class TestRls:
     def test_four_pixel_arithmetic(self):
         img = np.array([[0.0, 0.2, 0.8, 1.0]])
         p = np.array([[0.9, 0.8, 0.1, 0.2]])
-        out = rls_loss(p, img, np.ones((1, 4), bool),
-                       LossConfig(lambda1=1.0, lambda2=3.0))
+        out = rls_loss(p, img, np.ones((1, 4), bool))
+        assert (RLS_LAMBDA1, RLS_LAMBDA2) == (1.0, 3.0)
         assert abs(out.value - 0.1752) < 1e-12
 
     def test_outside_region_invariance(self):
@@ -157,14 +158,14 @@ class TestRls:
             rls_loss(p[:5], img, region)
 
     def test_swap_symmetry(self):
+        # swapping inside and outside swaps the roles of the two weights
         rng = np.random.default_rng(4)
         img = rng.uniform(0, 1, (5, 5))
         p = rng.uniform(0.1, 0.9, (5, 5))
-        region = rng.uniform(0, 1, (5, 5)) < 0.8
-        region[0, :2] = True
-        a = rls_loss(p, img, region, LossConfig(lambda1=1.0, lambda2=3.0))
-        b = rls_loss(1.0 - p, img, region, LossConfig(lambda1=3.0, lambda2=1.0))
-        assert abs(a.value - b.value) < 1e-12
+        a, ma = data_term(p, img, 1.0, 3.0)
+        b, mb = data_term(1.0 - p, img, 3.0, 1.0)
+        assert abs(a - b) < 1e-12
+        assert np.allclose((ma.c1, ma.c2), (mb.c2, mb.c1), rtol=0, atol=1e-12)
 
     def test_grad_is_the_frozen_means_formula_exactly(self):
         rng = np.random.default_rng(6)
@@ -172,14 +173,13 @@ class TestRls:
         p = rng.uniform(0.05, 0.95, (7, 9))
         region = rng.uniform(0, 1, (7, 9)) < 0.6
         region[0, :2] = True
-        cfg = LossConfig(lambda1=1.5, lambda2=2.5)
         means = region_means(p, img, region)
         d1 = (img - means.c1) ** 2
         d2 = (img - means.c2) ** 2
         want = np.zeros_like(p)
-        want[region] = (cfg.lambda1 * d1[region]
-                        - cfg.lambda2 * d2[region]) / int(region.sum())
-        assert rls_loss(p, img, region, cfg).grad.tobytes() == want.tobytes()
+        want[region] = (RLS_LAMBDA1 * d1[region]
+                        - RLS_LAMBDA2 * d2[region]) / int(region.sum())
+        assert rls_loss(p, img, region).grad.tobytes() == want.tobytes()
 
     def test_finite_differences_frozen_means(self):
         rng = np.random.default_rng(5)
@@ -187,18 +187,17 @@ class TestRls:
         p0 = rng.uniform(0.05, 0.95, (8, 8))
         region = rng.uniform(0, 1, (8, 8)) < 0.7
         region[0, :2] = True
-        cfg = LossConfig()
         frozen = region_means(p0, img, region)
         n = int(region.sum())
         d1 = (img - frozen.c1) ** 2
         d2 = (img - frozen.c2) ** 2
 
         def fn(x):
-            val = float((cfg.lambda1 * x * d1
-                         + cfg.lambda2 * (1 - x) * d2)[region].sum()) / n
+            val = float((RLS_LAMBDA1 * x * d1
+                         + RLS_LAMBDA2 * (1 - x) * d2)[region].sum()) / n
             grad = np.zeros_like(x)
-            grad[region] = (cfg.lambda1 * d1[region]
-                            - cfg.lambda2 * d2[region]) / n
+            grad[region] = (RLS_LAMBDA1 * d1[region]
+                            - RLS_LAMBDA2 * d2[region]) / n
             return val, grad
 
         assert finite_diff_check(fn, p0) < 1e-4

@@ -118,9 +118,8 @@ class TestGenLesion:
         assert not (bright & s.region & ~s.gt_mask).any()
 
     def test_off_grid_rejected(self):
-        cfg = SynthConfig(size=24, radius_range=(12, 12), seed=9)
-        with pytest.raises(ValueError):
-            gen_lesion(cfg, np.random.default_rng(9))
+        with pytest.raises(ValueError, match="^size 24 is too small"):
+            SynthConfig(size=24, radius_range=(12, 12), seed=9)
 
 
 def test_star_mask_equals_meshgrid_reference():
