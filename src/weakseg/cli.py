@@ -18,7 +18,7 @@ import numpy as np
 
 from . import losses, metrics, recist, weaktrain
 from .imgcore import decode_pgm, encode_pgm
-from .levelset import CvConfig, cv_evolve
+from .levelset import CvConfig, cv_energy, cv_evolve
 from .losses import bce_loss, finite_diff_check, iou_loss, rls_loss
 from .model import ArchConfig, forward, backward, init_params, load_model, \
     new_workspace, param_views, save_model
@@ -272,15 +272,20 @@ def cmd_segment_cv(args) -> int:
     except ValueError as exc:
         raise UsageError(f"--{exc}") from None
     img = _read_pgm(args.image)
+    h, w = img.shape
     if args.init is not None:
+        source = f"--init {args.init}"
         init = _read_pgm(args.init) >= 0.5
         if init.shape != img.shape:
-            raise DataError(
-                f"--init {args.init} is {init.shape[1]}x{init.shape[0]} but "
-                f"--image {args.image} is {img.shape[1]}x{img.shape[0]}")
+            raise DataError(f"{source} is {init.shape[1]}x{init.shape[0]} but "
+                            f"--image {args.image} is {w}x{h}")
     else:
-        init = recist.rasterize_ellipse(_read_ellipse(args.ellipse),
-                                        (img.shape[1], img.shape[0]))
+        source = f"--ellipse {args.ellipse}"
+        init = recist.rasterize_ellipse(_read_ellipse(args.ellipse), (w, h))
+    if not init.any() or init.all():
+        raise DataError(f"{source}: the initial mask is "
+                        f"{'the whole' if init.any() else 'empty on the'} "
+                        f"{w}x{h} grid; it needs pixels on both sides")
     mask, trace, warning = cv_evolve(img, init, cfg)
     Path(args.out).write_bytes(encode_pgm(mask.astype(np.float64)))
     if args.trace:
@@ -319,10 +324,18 @@ def cmd_gradcheck(args) -> int:
     region = rng.uniform(0, 1, shape) < 0.7
     region[0, 0] = region[0, 1] = True
     p0 = rng.uniform(0.05, 0.95, shape)
+    phi0 = rng.uniform(-2.0, 2.0, shape)
+    cv_cfg = CvConfig(mu=0.2, nu=0.1, lambda1=1.0, lambda2=2.0, eps=0.5)
+
+    def cv(phi):
+        grad = np.empty_like(phi)
+        return cv_energy(phi, img, cv_cfg, grad=grad), grad
+
     errs = {
         "bce": finite_diff_check(lambda p: bce_loss(p, g), p0),
         "iou": finite_diff_check(lambda p: iou_loss(p, g), p0),
         "rls": finite_diff_check(lambda p: rls_loss(p, img, region), p0),
+        "cv": finite_diff_check(cv, phi0),
         "model+losses": model_gradcheck(args.seed),
     }
     bad = False

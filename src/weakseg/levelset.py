@@ -77,7 +77,7 @@ def smooth_delta(z, eps: float = 1.0, out=None):
 
 
 def _central_diff(out, a, axis, sign):
-    """out = sign * (roll(a, -1) - roll(a, 1)) / 2 along axis 0 or 1 of
+    """out = sign * (roll(a, -1) - roll(a, 1)) along axis 0 or 1 of
     C-contiguous 2-D arrays, by slicing: one subtraction for the interior
     (along axis 1 over the flattened arrays, whose row seams the wrap
     columns then overwrite) and one for each wrap row or column. A negative
@@ -94,7 +94,7 @@ def _central_diff(out, a, axis, sign):
         sub(a.ravel()[2:], a.ravel()[:-2], out.ravel()[1:-1])
         sub(a[:, 1 % n], a[:, -1], out[:, 0])
         sub(a[:, 0], a[:, -2 % n], out[:, -1])
-    return np.multiply(out, 0.5, out=out)
+    return out
 
 
 def cv_energy(phi, img, cfg: CvConfig, grad=None, work=None) -> float:
@@ -110,21 +110,25 @@ def cv_energy(phi, img, cfg: CvConfig, grad=None, work=None) -> float:
     h, g, r1, r2, t1, t2 = work
     smooth_heaviside(phi, cfg.eps, out=h)
     energy, _ = data_term(h, v, cfg.lambda1, cfg.lambda2, grad, work[1:5])
-    if grad is not None:
-        np.add(grad, cfg.nu, out=grad)
     if cfg.nu != 0.0:
         energy += cfg.nu * float(h.sum())
+        if grad is not None:
+            np.add(grad, cfg.nu, out=grad)
     if cfg.mu != 0.0:
+        # the differences are left undivided by 2, so they, |grad H| and the
+        # length gradient all come out doubled, exactly (powers of two scale
+        # without rounding); mu / 2 and 4 * eta undo that
+        mu = 0.5 * cfg.mu
         gx = _central_diff(t1, h, 1, 1)
         gy = _central_diff(r2, h, 0, 1)
         n = np.add(np.multiply(gx, gx, out=r1), np.multiply(gy, gy, out=t2), out=r1)
-        np.sqrt(np.add(n, _LEN_ETA, out=n), out=n)
-        energy += cfg.mu * float(n.sum())
+        np.sqrt(np.add(n, 4.0 * _LEN_ETA, out=n), out=n)
+        energy += mu * float(n.sum())
         if grad is not None:
             # length gradient with respect to h, into g
             _central_diff(g, np.divide(gx, n, out=gx), 1, -1)
             np.add(g, _central_diff(h, np.divide(gy, n, out=gy), 0, -1), out=g)
-            np.add(grad, np.multiply(cfg.mu, g, out=g), out=grad)
+            np.add(grad, np.multiply(mu, g, out=g), out=grad)
     if grad is not None:
         np.multiply(grad, smooth_delta(phi, cfg.eps, out=t1), out=grad)
     return energy

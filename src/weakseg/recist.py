@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,9 @@ class Ellipse:
     theta: float  # radians in [0, pi)
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (*self.center, self.a, self.b))):
+            raise ValueError(f"require a finite centre and semi-axes, got "
+                             f"center={self.center}, a={self.a}, b={self.b}")
         if not (self.a >= self.b > 0):
             raise ValueError(f"require a >= b > 0, got a={self.a}, b={self.b}")
         if not (0.0 <= self.theta < np.pi):
@@ -83,19 +87,36 @@ def fit_ellipse(ann: RecistAnnotation) -> Ellipse:
                    theta=theta)
 
 
+def pixel_box(center, reach: float, dims) -> tuple[slice, slice]:
+    """The (rows, columns) slices of a (width, height) grid that hold every
+    pixel whose centre lies within ``reach`` of ``center`` along each axis,
+    clipped to the grid; either slice may be empty."""
+    def span(c, n):
+        # clip before rounding, as c +- reach may overflow to +-inf
+        lo = math.floor(min(max(c - reach, 0.0), n))
+        return slice(lo, math.ceil(min(max(c + reach, lo), n)))
+
+    return span(center[1], dims[1]), span(center[0], dims[0])
+
+
 def rasterize_ellipse(e: Ellipse, dims) -> np.ndarray:
-    """Pixel-center point-inclusion rasterization onto a (width, height) grid."""
+    """Pixel-center point-inclusion rasterization onto a (width, height) grid.
+    The test runs only in the box centre +- (a + 1), clipped to the grid: no
+    pixel centre farther than the semi-major axis a lies inside."""
     w, h = int(dims[0]), int(dims[1])
     if w < 1 or h < 1:
         raise ValueError("grid dimensions must be >= 1")
     cx, cy = e.center
-    # a row of x offsets and a column of y offsets, broadcast to (h, w)
-    u = np.arange(w) + 0.5 - cx
-    v = (np.arange(h) + 0.5 - cy)[:, None]
+    rows, cols = pixel_box(e.center, e.a + 1.0, (w, h))
+    # a row of x offsets and a column of y offsets, broadcast over the box
+    u = np.arange(w)[cols] + 0.5 - cx
+    v = (np.arange(h)[rows] + 0.5 - cy)[:, None]
     ct, st = np.cos(e.theta), np.sin(e.theta)
     p = (u * ct + v * st) / e.a
     q = (-u * st + v * ct) / e.b
-    return p * p + q * q <= 1.0
+    mask = np.zeros((h, w), dtype=bool)
+    mask[rows, cols] = p * p + q * q <= 1.0
+    return mask
 
 
 def constrained_region(e: Ellipse, dims) -> np.ndarray:
@@ -125,10 +146,13 @@ def transform_annotation(ann: RecistAnnotation, t: np.ndarray) -> RecistAnnotati
 # ---------------------------------------------------------------------------
 # Annotation CSV: image_id, x1,y1,x2,y2 (long axis), x3,y3,x4,y4 (short axis)
 
+_CSV_HEADER = ("image_id", "x1", "y1", "x2", "y2", "x3", "y3", "x4", "y4")
+
+
 def write_annotation_csv(rows: list[tuple[str, RecistAnnotation]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["image_id", "x1", "y1", "x2", "y2", "x3", "y3", "x4", "y4"])
+    writer.writerow(_CSV_HEADER)
     for image_id, ann in rows:
         coords = ann.endpoints().reshape(-1)
         writer.writerow([image_id] + [f"{c:.6g}" for c in coords])
@@ -153,6 +177,9 @@ def read_annotation_csv(text: str) -> list[tuple[str, RecistAnnotation]]:
                                  f"{lines[row[0]]}")
             lines[row[0]] = reader.line_num
             x = [float(v) for v in row[1:]]
+            for name, value in zip(_CSV_HEADER[1:], x):
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value}")
             out.append((row[0], RecistAnnotation(
                 long_a=(x[0], x[1]), long_b=(x[2], x[3]),
                 short_a=(x[4], x[5]), short_b=(x[6], x[7]))))

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .imgcore import BG, FG
-from .recist import RecistAnnotation, Ellipse, fit_ellipse, rasterize_ellipse, \
-    constrained_region
+from .recist import RecistAnnotation, Ellipse, fit_ellipse, pixel_box, \
+    rasterize_ellipse, constrained_region
 
 
 @dataclass(frozen=True)
@@ -101,13 +101,18 @@ class Sample:
 def _star_mask(size: int, center, radius: float, irregularity: float,
                rng: np.random.Generator) -> np.ndarray:
     """Fill radius(angle) = r * (1 + irregularity * low-order sinusoids),
-    normalized so the perturbation magnitude never exceeds irregularity."""
+    normalized so the perturbation magnitude never exceeds irregularity.
+    The test runs only in the box centre +- (r * (1 + irregularity) + 1),
+    clipped to the grid: no pixel centre farther than r * (1 + irregularity)
+    lies inside."""
     harmonics = []
     for k in (2, 3, 4):
         harmonics.append((k, rng.uniform(-1, 1), rng.uniform(-1, 1)))
     amp = sum(np.hypot(a, b) for _, a, b in harmonics)
-    dx = np.arange(size) + 0.5 - center[0]
-    dy = (np.arange(size) + 0.5 - center[1])[:, None]
+    rows, cols = pixel_box(center, radius * (1.0 + irregularity) + 1.0,
+                           (size, size))
+    dx = np.arange(size)[cols] + 0.5 - center[0]
+    dy = (np.arange(size)[rows] + 0.5 - center[1])[:, None]
     ang = np.arctan2(dy, dx)
     pert = np.zeros_like(ang)
     if amp > 0 and irregularity > 0:
@@ -115,7 +120,9 @@ def _star_mask(size: int, center, radius: float, irregularity: float,
             pert += a * np.cos(k * ang) + b * np.sin(k * ang)
         pert *= irregularity / amp
     rad = radius * (1.0 + pert)
-    return np.hypot(dx, dy) <= rad
+    mask = np.zeros((size, size), dtype=bool)
+    mask[rows, cols] = np.hypot(dx, dy) <= rad
+    return mask
 
 
 def derive_recist(gt_mask: np.ndarray) -> RecistAnnotation:

@@ -50,7 +50,7 @@ class TestDatasetIo:
         assert "20x16" in str(info.value)
 
     @pytest.mark.parametrize("case", ["truncated image", "non-numeric field",
-                                      "zero-length axis"])
+                                      "zero-length axis", "inf", "nan"])
     def test_malformed_input_names_the_file(self, dataset_dir, tmp_path,
                                             capsys, case):
         csv_file = dataset_dir / "recist.csv"
@@ -61,13 +61,16 @@ class TestDatasetIo:
         else:
             rows = csv_file.read_text().splitlines()
             fields = rows[2].split(",")
+            named = f"{csv_file}: line 3: "
             if case == "non-numeric field":
                 fields[3] = "abc"
-            else:  # the long axis ends where it starts
+            elif case == "zero-length axis":  # the long end is its start
                 fields[3:5] = fields[1:3]
+            else:
+                fields[1] = case
+                named += f"x1 must be finite, got {case}"
             rows[2] = ",".join(fields)
             csv_file.write_text("\n".join(rows) + "\n")
-            named = f"{csv_file}: line 3: "
         assert run("eval", "--data", str(dataset_dir), "--pred",
                    str(tmp_path), "--out", str(tmp_path / "e")) == 2
         assert named in capsys.readouterr().err
@@ -570,13 +573,34 @@ class TestSegmentCv:
                                               monkeypatch):
         img_file = tmp_path / "img.pgm"
         img_file.write_bytes(encode_pgm(np.full((8, 8), 0.5)))
+        init_file = tmp_path / "init.pgm"
+        init_file.write_bytes(encode_pgm(np.eye(8)))
         monkeypatch.setattr(cli, "cv_evolve", lambda img, init, cfg:
                             (init, np.zeros(3), True))
         assert run("segment-cv", "--image", str(img_file), "--init",
-                   str(img_file), "--out", str(tmp_path / "m.pgm")) == 0
+                   str(init_file), "--out", str(tmp_path / "m.pgm")) == 0
         out, err = capsys.readouterr()
         assert "warning: evolution stopped early" in err
         assert "warning" not in out and "2 iterations" in out
+
+    @pytest.mark.parametrize("flag", ["--init", "--ellipse"])
+    def test_degenerate_init_names_its_source(self, tmp_path, capsys,
+                                              monkeypatch, flag):
+        # an all-foreground mask, and an ellipse centred off the grid whose
+        # pixel box is empty
+        img_file = tmp_path / "img.pgm"
+        img_file.write_bytes(encode_pgm(np.full((8, 8), 0.5)))
+        if flag == "--init":
+            source, state = img_file, "the whole 8x8 grid"
+        else:
+            source, state = tmp_path / "ellipse.json", "empty on the 8x8 grid"
+            source.write_text('{"center": [-30, 4], "a": 3, "b": 2}')
+        monkeypatch.setattr(cli, "cv_evolve", None)  # never reached
+        assert run("segment-cv", "--image", str(img_file), flag, str(source),
+                   "--out", str(tmp_path / "m.pgm")) == 2
+        assert f"error: {flag} {source}: the initial mask is {state}" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "m.pgm").exists()
 
     def test_init_shape_mismatch_names_both_files(self, tmp_path, capsys):
         img_file = tmp_path / "img.pgm"
@@ -611,8 +635,9 @@ class TestGradcheckAndUsage:
     def test_gradcheck_passes(self, capsys):
         assert run("gradcheck", "--seed", "0") == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 4
-        assert all("OK" in l for l in lines)
+        assert [l.partition(":")[0] for l in lines] == [
+            "bce", "iou", "rls", "cv", "model+losses"]
+        assert all(l.endswith("(OK)") for l in lines)
 
     def test_usage_errors(self, dataset_dir, tmp_path):
         assert run() == 1

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from weakseg.imgcore import affine_compose, affine_rotation, affine_scaling, \
     affine_translation
 from weakseg.recist import (DegenerateAnnotationError, Ellipse,
                             RecistAnnotation, constrained_region, fit_ellipse,
-                            rasterize_ellipse, read_annotation_csv,
+                            pixel_box, rasterize_ellipse, read_annotation_csv,
                             transform_annotation, write_annotation_csv)
 
 
@@ -90,6 +92,51 @@ def meshgrid_ellipse(e, dims):
     return p * p + q * q <= 1.0
 
 
+def edge_coordinate(n):
+    """Centre coordinates along a side of n pixels where the pixel box is
+    clipped or empty: within one pixel of either edge, on a pixel centre,
+    and off the grid."""
+    return st.one_of(st.floats(-1.0, 1.0), st.floats(n - 1.0, n + 1.0),
+                     st.integers(-3, n + 3).map(lambda i: i + 0.5),
+                     st.floats(-3.0 * n - 50.0, -1.0),
+                     st.floats(n + 1.0, 3.0 * n + 50.0))
+
+
+grid_dims = st.one_of(
+    st.just((1, 1)),
+    st.integers(1, 60).map(lambda n: (1, n)),
+    st.integers(1, 60).map(lambda n: (n, 1)),
+    st.tuples(st.integers(1, 60), st.integers(1, 60)))
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_box_edges_equal_meshgrid_reference(data):
+    # semi-major axes up to twice the longer side and semi-minor ones
+    # below 0.1 px, at centres near, on and off the grid edges
+    w, h = data.draw(grid_dims)
+    center = (data.draw(edge_coordinate(w)), data.draw(edge_coordinate(h)))
+    a = data.draw(st.floats(0.05, 2.0 * max(w, h) + 1.0))
+    b = data.draw(st.one_of(st.floats(1e-3, min(a, 0.1)), st.floats(1e-3, a)))
+    e = Ellipse(center, a, b, data.draw(st.floats(0.0, np.pi,
+                                                  exclude_max=True)))
+    big = Ellipse(e.center, 2 * e.a, 2 * e.b, e.theta)
+    assert np.array_equal(rasterize_ellipse(e, (w, h)),
+                          meshgrid_ellipse(e, (w, h)))
+    assert np.array_equal(constrained_region(e, (w, h)),
+                          meshgrid_ellipse(big, (w, h)))
+    rows, cols = pixel_box(center, a + 1.0, (w, h))
+    assert 0 <= rows.start <= rows.stop <= h
+    assert 0 <= cols.start <= cols.stop <= w
+
+
+def test_box_past_the_float_range():
+    # centre -+ (a + 1) overflows to -inf along x
+    e = Ellipse((-1.5e308, 4.0), 1.5e308, 1.0, 0.0)
+    assert np.array_equal(rasterize_ellipse(e, (8, 8)),
+                          meshgrid_ellipse(e, (8, 8)))
+
+
 def test_rasters_equal_meshgrid_reference():
     rng = np.random.default_rng(21)
     for _ in range(300):
@@ -104,6 +151,14 @@ def test_rasters_equal_meshgrid_reference():
         assert np.array_equal(got, meshgrid_ellipse(e, (w, h)))
         assert np.array_equal(constrained_region(e, (w, h)),
                               meshgrid_ellipse(big, (w, h)))
+
+
+@pytest.mark.parametrize("center, a, b", [
+    ((np.inf, 30.0), 3.0, 2.0), ((4.0, np.nan), 3.0, 2.0),
+    ((4.0, 4.0), np.inf, 2.0), ((4.0, 4.0), 3.0, np.nan)])
+def test_ellipse_rejects_non_finite(center, a, b):
+    with pytest.raises(ValueError, match="finite centre and semi-axes"):
+        Ellipse(center, a, b, 0.0)
 
 
 class TestConstrainedRegion:
@@ -174,3 +229,12 @@ def test_annotation_csv_roundtrip():
     for (_, a), (_, b) in zip(rows, back):
         assert np.allclose(a.endpoints(), b.endpoints())
 
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_annotation_csv_rejects_non_finite(value):
+    rows = write_annotation_csv([("000", axis_aligned_ann()),
+                                 ("001", axis_aligned_ann())]).splitlines()
+    rows[2] = rows[2].replace("001,5,", f"001,{value},", 1)
+    with pytest.raises(ValueError, match=re.escape(
+            f"line 3: x1 must be finite, got {float(value)}")):
+        read_annotation_csv("\n".join(rows) + "\n")

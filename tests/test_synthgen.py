@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weakseg.metrics import prf_dice
 from weakseg.recist import fit_ellipse, rasterize_ellipse
 from weakseg.synthgen import (Sample, SynthConfig, _star_mask, derive_recist,
                               gen_dataset, gen_lesion)
+
+from test_recist import edge_coordinate
 
 
 class TestDeriveRecist:
@@ -122,8 +126,22 @@ class TestGenLesion:
             SynthConfig(size=24, radius_range=(12, 12), seed=9)
 
 
+def meshgrid_star(size, center, radius, irregularity, seed):
+    """Reference star mask: the same harmonics, evaluated on full coordinate
+    grids."""
+    harm = np.random.default_rng(seed).uniform(-1, 1, 6).reshape(3, 2)
+    gx, gy = np.meshgrid(np.arange(size) + 0.5, np.arange(size) + 0.5)
+    dx = gx - center[0]
+    dy = gy - center[1]
+    ang = np.arctan2(dy, dx)
+    pert = np.zeros_like(ang)
+    for k, (a, b) in zip((2, 3, 4), harm):
+        pert += a * np.cos(k * ang) + b * np.sin(k * ang)
+    pert *= irregularity / sum(np.hypot(a, b) for a, b in harm)
+    return np.hypot(dx, dy) <= radius * (1.0 + pert)
+
+
 def test_star_mask_equals_meshgrid_reference():
-    # the same harmonics, evaluated on full coordinate grids
     rng = np.random.default_rng(4)
     for _ in range(100):
         size = int(rng.integers(4, 100))
@@ -133,16 +151,25 @@ def test_star_mask_equals_meshgrid_reference():
         seed = int(rng.integers(1 << 30))
         got = _star_mask(size, center, radius, irregularity,
                          np.random.default_rng(seed))
-        harm = np.random.default_rng(seed).uniform(-1, 1, 6).reshape(3, 2)
-        gx, gy = np.meshgrid(np.arange(size) + 0.5, np.arange(size) + 0.5)
-        dx = gx - center[0]
-        dy = gy - center[1]
-        ang = np.arctan2(dy, dx)
-        pert = np.zeros_like(ang)
-        for k, (a, b) in zip((2, 3, 4), harm):
-            pert += a * np.cos(k * ang) + b * np.sin(k * ang)
-        pert *= irregularity / sum(np.hypot(a, b) for a, b in harm)
-        assert np.array_equal(got, np.hypot(dx, dy) <= radius * (1.0 + pert))
+        assert np.array_equal(got, meshgrid_star(size, center, radius,
+                                                 irregularity, seed))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_star_box_edges_equal_meshgrid_reference(data):
+    # grids down to 1x1, radii past the grid and irregularity up to 0.99,
+    # at centres near, on and off the grid edges
+    size = data.draw(st.integers(1, 60))
+    center = (data.draw(edge_coordinate(size)),
+              data.draw(edge_coordinate(size)))
+    radius = data.draw(st.floats(0.05, 2.0 * size + 1.0))
+    irregularity = data.draw(st.floats(0.0, 0.99))
+    seed = data.draw(st.integers(0, (1 << 30) - 1))
+    got = _star_mask(size, center, radius, irregularity,
+                     np.random.default_rng(seed))
+    assert np.array_equal(got, meshgrid_star(size, center, radius,
+                                             irregularity, seed))
 
 
 class TestGenDataset:
