@@ -5,8 +5,7 @@ segmenter with manual backprop, and the multi-round weak training loop."""
 from .imgcore import BG, FG, IGNORE, decode_pgm, encode_pgm
 from .recist import Ellipse, RecistAnnotation, fit_ellipse, rasterize_ellipse, \
     constrained_region
-from .losses import bce_loss, iou_loss, rls_loss, seg_loss, region_means, \
-    finite_diff_check
+from .losses import bce_loss, iou_loss, rls_loss, seg_loss, finite_diff_check
 from .levelset import CvConfig, cv_energy, cv_evolve, smooth_heaviside
 from .metrics import Metrics, Summary, prf_dice, summarize
 

@@ -9,7 +9,6 @@ loss values nor to gradients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -25,12 +24,6 @@ RLS_LAMBDA1, RLS_LAMBDA2 = 1.0, 3.0
 
 class DegenerateRegionError(ValueError):
     """Raised when a region mean has (near) zero weight mass."""
-
-
-@dataclass(frozen=True)
-class RegionMeans:
-    c1: float
-    c2: float
 
 
 class LossValueGrad(NamedTuple):
@@ -96,10 +89,10 @@ def _region_inputs(p, img, region):
 
 
 def data_term(h: np.ndarray, v: np.ndarray, lambda1: float, lambda2: float,
-              grad=None, work=None):
+              grad=None, work=None) -> float:
     """Chan-Vese region data term sum [l1 (v-c1)^2 h + l2 (v-c2)^2 (1-h)] of
     same-shape weights h and image v, c1 and c2 the h- and (1-h)-weighted
-    means of v; returns (value, RegionMeans). ``grad`` (optional) receives
+    means of v; returns the value. ``grad`` (optional) receives
     l1 (v-c1)^2 - l2 (v-c2)^2; ``work`` is optional (4, *h.shape) scratch."""
     g, r1, r2, t = np.empty((4,) + h.shape) if work is None else work
     np.subtract(1.0, h, out=g)
@@ -114,13 +107,7 @@ def data_term(h: np.ndarray, v: np.ndarray, lambda1: float, lambda2: float,
     if grad is not None:
         np.subtract(r1, r2, out=grad)
     np.add(np.multiply(r1, h, out=r1), np.multiply(r2, g, out=r2), out=r1)
-    return float(r1.sum()), RegionMeans(c1=c1, c2=c2)
-
-
-def region_means(p: np.ndarray, img: np.ndarray, region: np.ndarray) -> RegionMeans:
-    """Prediction-weighted mean intensities inside/outside, over the region."""
-    p, v, r = _region_inputs(p, img, region)
-    return data_term(p[r], v[r], 1.0, 1.0)[1]
+    return float(r1.sum())
 
 
 def rls_loss(p: np.ndarray, img: np.ndarray,
@@ -138,7 +125,7 @@ def rls_loss(p: np.ndarray, img: np.ndarray,
     n = int(r.sum())
     grad = np.zeros_like(p)
     dr = np.empty(n)
-    value, _ = data_term(p[r], v[r], RLS_LAMBDA1, RLS_LAMBDA2, dr)
+    value = data_term(p[r], v[r], RLS_LAMBDA1, RLS_LAMBDA2, dr)
     grad[r] = dr / n
     return LossValueGrad(value=value / n, grad=grad)
 

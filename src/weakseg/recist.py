@@ -112,10 +112,13 @@ def rasterize_ellipse(e: Ellipse, dims) -> np.ndarray:
     u = np.arange(w)[cols] + 0.5 - cx
     v = (np.arange(h)[rows] + 0.5 - cy)[:, None]
     ct, st = np.cos(e.theta), np.sin(e.theta)
-    p = (u * ct + v * st) / e.a
-    q = (-u * st + v * ct) / e.b
     mask = np.zeros((h, w), dtype=bool)
-    mask[rows, cols] = p * p + q * q <= 1.0
+    # at extreme axis ratios p or q may overflow to inf, which correctly
+    # leaves the pixel out
+    with np.errstate(over="ignore"):
+        p = (u * ct + v * st) / e.a
+        q = (-u * st + v * ct) / e.b
+        mask[rows, cols] = p * p + q * q <= 1.0
     return mask
 
 

@@ -17,7 +17,7 @@ from weakseg.cli import cli_main, model_gradcheck
 from weakseg.imgcore import FG
 from weakseg.levelset import CvConfig, cv_energy, cv_evolve, smooth_heaviside
 from weakseg.losses import (RLS_LAMBDA1, RLS_LAMBDA2, bce_loss,
-                            finite_diff_check, iou_loss, region_means, rls_loss)
+                            finite_diff_check, iou_loss, rls_loss)
 from weakseg.metrics import prf_dice, summarize
 from weakseg.model import ArchConfig
 from weakseg.recist import Ellipse, rasterize_ellipse
@@ -72,10 +72,13 @@ def test_criterion_1_gradient_correctness():
     region = rng.uniform(0, 1, (8, 8)) < 0.7
     region[0, :2] = True
     p0 = rng.uniform(0.05, 0.95, (8, 8))
-    frozen = region_means(p0, img, region)
+    # the prediction-weighted region means, held fixed
+    h, v = p0[region], img[region]
+    c1 = float((v * h).sum()) / float(h.sum())
+    c2 = float((v * (1 - h)).sum()) / float((1 - h).sum())
     n = int(region.sum())
-    d1 = (img - frozen.c1) ** 2
-    d2 = (img - frozen.c2) ** 2
+    d1 = (img - c1) ** 2
+    d2 = (img - c2) ** 2
 
     def rls_frozen(p):
         val = float((RLS_LAMBDA1 * p * d1

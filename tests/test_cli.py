@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import weakseg
 from weakseg import cli, recist, synthgen, weaktrain
 from weakseg.cli import DataError, build_parser, cli_main, load_dataset, \
     write_dataset
@@ -15,6 +20,17 @@ from weakseg.synthgen import Sample, SynthConfig, gen_dataset
 
 def run(*argv):
     return cli_main(list(argv))
+
+
+def run_process(*argv, **env):
+    """Run the CLI in a fresh interpreter with ``env`` added to the
+    environment; returns the CompletedProcess with text stdout/stderr."""
+    src = str(Path(weakseg.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "weakseg.cli", *map(str, argv)],
+        env={**os.environ, "PYTHONPATH": path, **env},
+        capture_output=True, text=True, timeout=300)
 
 
 @pytest.fixture()
@@ -141,6 +157,29 @@ class TestTrainEval:
         assert len(metrics) == 4
         summary = json.loads((eval_dir / "summary.json").read_text())
         assert summary["n"] == 3
+
+    def test_train_same_bytes_at_1_and_2_blas_threads(self, tmp_path):
+        # an augmented 2-round train whose second round retrains, in a fresh
+        # process per thread count
+        data = tmp_path / "data"
+        samples, manifest = gen_dataset(SynthConfig(size=64, seed=23), 6)
+        write_dataset(samples, manifest, data)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(
+            {"epochs": 20, "stage2_start": 10, "decay_epochs": [18],
+             "lr": 0.01, "rounds": 2, "seed": 3, "arch": {"channels": 8}}))
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"run{threads}"
+            proc = run_process("train", "--data", data, "--config", cfg_file,
+                               "--out", out, OPENBLAS_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+            runs.append({f.name: f.read_bytes() for f in sorted(
+                [out / "model.bin", *out.glob("history_round*.csv")])})
+        assert sorted(runs[0]) == ["history_round1.csv", "history_round2.csv",
+                                   "model.bin"]
+        assert runs[0]["history_round1.csv"] != runs[0]["history_round2.csv"]
+        assert runs[0] == runs[1]
 
     def test_eval_model_same_bytes_at_any_worker_count(self, tmp_path,
                                                        monkeypatch):
@@ -601,6 +640,20 @@ class TestSegmentCv:
         assert f"error: {flag} {source}: the initial mask is {state}" \
             in capsys.readouterr().err
         assert not (tmp_path / "m.pgm").exists()
+
+    def test_extreme_axis_ratio_prints_only_the_error(self, tmp_path):
+        # q = v / b overflows to inf, which leaves every pixel out; no numpy
+        # warning may reach stderr ahead of the message
+        img_file = tmp_path / "img.pgm"
+        img_file.write_bytes(encode_pgm(np.full((8, 8), 0.5)))
+        spec = tmp_path / "ellipse.json"
+        spec.write_text('{"center": [4, 4], "a": 1e300, "b": 1e-300}')
+        proc = run_process("segment-cv", "--image", img_file, "--ellipse",
+                           spec, "--out", tmp_path / "m.pgm")
+        assert proc.returncode == 2
+        assert proc.stderr == (f"error: --ellipse {spec}: the initial mask is "
+                               "empty on the 8x8 grid; it needs pixels on "
+                               "both sides\n")
 
     def test_init_shape_mismatch_names_both_files(self, tmp_path, capsys):
         img_file = tmp_path / "img.pgm"

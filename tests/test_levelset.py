@@ -127,8 +127,8 @@ class TestEnergyGradient:
 
 # Reference: the solver as it was before the energy and gradient were fused
 # (np.roll shifts, two evaluations per accepted step), with the settle rule
-# as its stop. The fused solver must reproduce its masks, trace bytes and
-# warnings exactly.
+# as its stop, on the same ``levelset.SETTLE``. The fused solver must
+# reproduce its masks, trace bytes and warnings exactly.
 
 def _ref_weighted_means(img: np.ndarray, h: np.ndarray):
     w1 = float(h.sum())
@@ -220,7 +220,7 @@ def _ref_cv_evolve(img, init, cfg):
             phi = cand
             energy, grad = _ref_energy_and_grad(phi, v, cfg)
             trace.append(energy)
-            if settled >= cfg.settle:
+            if settled >= levelset.SETTLE:
                 break
     except DegenerateRegionError:
         warning = True
@@ -251,8 +251,11 @@ class TestFusedSolverOracle:
     def test_bytes_equal_reference(self, monkeypatch, shape, kw, backtracks):
         img, init = self.lesion(shape)
         kw = dict(kw)
-        # the nominal step is a module constant; both solvers read it
+        # the nominal step and the settle window are module constants; both
+        # solvers read them
         monkeypatch.setattr(levelset, "STEP", kw.pop("step", levelset.STEP))
+        monkeypatch.setattr(levelset, "SETTLE",
+                            kw.pop("settle", levelset.SETTLE))
         cfg = CvConfig(**kw)
         calls = []
         fused = levelset.cv_energy
@@ -294,6 +297,13 @@ def synth_lesion_128():
     return s.image, rasterize_ellipse(s.ellipse, (128, 128)), s.gt_mask
 
 
+def evolve_settled(img, init, cfg, settle):
+    """cv_evolve with its settle window set to ``settle``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(levelset, "SETTLE", settle)
+        return cv_evolve(img, init, cfg)
+
+
 class TestSettle:
     @staticmethod
     def mask_after(img, init, cfg, n):
@@ -301,13 +311,13 @@ class TestSettle:
         fire when settle exceeds the cap)."""
         if n == 0:
             return init
-        return cv_evolve(img, init, replace(cfg, iters=n, settle=n + 1))[0]
+        return evolve_settled(img, init, replace(cfg, iters=n), n + 1)[0]
 
     @pytest.mark.parametrize("settle", [1, 7, 50])
     def test_stops_once_settle_iterations_left_the_mask(self, settle):
         img, init = TestFusedSolverOracle.lesion((24, 40))
-        cfg = CvConfig(settle=settle)
-        mask, trace, warning = cv_evolve(img, init, cfg)
+        cfg = CvConfig()
+        mask, trace, warning = evolve_settled(img, init, cfg, settle)
         n = len(trace) - 1
         assert not warning and settle <= n < cfg.iters
         # the last `settle` accepted iterations changed no pixel ...
@@ -323,13 +333,25 @@ class TestSettle:
         img, init, _ = problem()
         cfg = CvConfig(mu=0.1, iters=500)
         mask, trace, _ = cv_evolve(img, init, cfg)
-        full, full_trace, _ = cv_evolve(img, init, replace(cfg, settle=501))
+        full, full_trace, _ = evolve_settled(img, init, cfg, 501)
         assert len(trace) < len(full_trace) == cfg.iters + 1
         assert np.array_equal(mask, full)
 
+    def test_noisy_lesions_among_distractors_stay_near_the_unsettled_run(self):
+        # here masks may still change late, so the settled mask need not be
+        # the cap run's, but it must stay close to it
+        samples, _ = gen_dataset(
+            SynthConfig(size=128, noise_sigma=0.15, distractors=3), 3)
+        for s in samples:
+            init = rasterize_ellipse(s.ellipse, (128, 128))
+            mask, trace, warning = cv_evolve(s.image, init, CvConfig())
+            full, _, _ = evolve_settled(s.image, init, CvConfig(), 501)
+            assert not warning and np.all(np.diff(trace) <= 1e-6)
+            assert prf_dice(mask, full).dice >= 0.99
+
     def test_cap_binds_below_settle(self):
         img, init, _ = noisy_disk()
-        _, trace, warning = cv_evolve(img, init, CvConfig(iters=10, settle=50))
+        _, trace, warning = evolve_settled(img, init, CvConfig(iters=10), 50)
         assert not warning and len(trace) == 11
 
 
@@ -338,7 +360,7 @@ class TestConfigValidation:
         ("lambda1", float("nan")), ("lambda1", 0.0), ("lambda1", -1.0),
         ("lambda2", float("inf")), ("lambda2", 0.0),
         ("eps", float("nan")), ("eps", -0.5),
-        ("settle", 0), ("settle", -3), ("iters", 0),
+        ("iters", 0),
         ("mu", float("nan")), ("mu", float("inf")), ("nu", -1.0),
         ("nu", float("inf")),
     ])

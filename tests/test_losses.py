@@ -6,12 +6,20 @@ from hypothesis import strategies as st
 from weakseg.imgcore import BG, FG, IGNORE
 from weakseg.losses import (CLAMP_EPS, RLS_LAMBDA1, RLS_LAMBDA2,
                             DegenerateRegionError, bce_loss, data_term,
-                            finite_diff_check, iou_loss, region_means,
-                            rls_loss, seg_loss)
+                            finite_diff_check, iou_loss, rls_loss, seg_loss)
 
 
 def tri(values):
     return np.asarray(values, dtype=np.int8)
+
+
+def region_means(p, img, region):
+    """(c1, c2): the p- and (1-p)-weighted means of img over the region,
+    summed in the order data_term sums them."""
+    h, v = p[region], img[region]
+    g = 1.0 - h
+    return (float((v * h).sum()) / float(h.sum()),
+            float((v * g).sum()) / float(g.sum()))
 
 
 class TestBce:
@@ -96,29 +104,40 @@ class TestIou:
 
 
 class TestRegionMeans:
+    """data_term's region means, seen through its gradient output
+    (v - c1)^2 - (v - c2)^2 at unit weights."""
+
+    @staticmethod
+    def residuals(p, img):
+        grad = np.empty_like(p)
+        value = data_term(p, img, 1.0, 1.0, grad)
+        return value, grad
+
     def test_constant_image(self):
         p = np.array([[0.2, 0.9], [0.4, 0.6]])
         img = np.full((2, 2), 0.7)
-        m = region_means(p, img, np.ones((2, 2), bool))
-        assert abs(m.c1 - 0.7) < 1e-12 and abs(m.c2 - 0.7) < 1e-12
+        value, grad = self.residuals(p, img)
+        assert abs(value) < 1e-12 and np.all(np.abs(grad) < 1e-12)
 
     def test_two_phase_exact(self):
         img = np.array([[0.9, 0.9, 0.1, 0.1]])
         p = np.array([[1.0, 1.0, 0.0, 0.0]])
-        m = region_means(p, img, np.ones((1, 4), bool))
-        assert m.c1 == 0.9 and m.c2 == 0.1
+        value, grad = self.residuals(p, img)
+        # c1 = 0.9 and c2 = 0.1 exactly
+        assert value == 0.0
+        assert np.array_equal(grad, (img - 0.9) ** 2 - (img - 0.1) ** 2)
 
     def test_weighted_mean_arithmetic(self):
         img = np.array([[0.0, 0.2, 0.8, 1.0]])
         p = np.array([[0.9, 0.8, 0.1, 0.2]])
-        m = region_means(p, img, np.ones((1, 4), bool))
-        assert abs(m.c1 - 0.22) < 1e-12
-        assert abs(m.c2 - 0.78) < 1e-12
+        value, grad = self.residuals(p, img)
+        d1, d2 = (img - 0.22) ** 2, (img - 0.78) ** 2
+        assert np.allclose(grad, d1 - d2, rtol=0, atol=1e-12)
+        assert abs(value - float((d1 * p + d2 * (1 - p)).sum())) < 1e-12
 
     def test_degenerate_region(self):
         with pytest.raises(DegenerateRegionError):
-            region_means(np.zeros((2, 2)), np.ones((2, 2)) * 0.5,
-                         np.ones((2, 2), bool))
+            data_term(np.zeros((2, 2)), np.ones((2, 2)) * 0.5, 1.0, 1.0)
 
 
 class TestRls:
@@ -162,10 +181,12 @@ class TestRls:
         rng = np.random.default_rng(4)
         img = rng.uniform(0, 1, (5, 5))
         p = rng.uniform(0.1, 0.9, (5, 5))
-        a, ma = data_term(p, img, 1.0, 3.0)
-        b, mb = data_term(1.0 - p, img, 3.0, 1.0)
+        ga, gb = np.empty_like(p), np.empty_like(p)
+        a = data_term(p, img, 1.0, 3.0, ga)
+        b = data_term(1.0 - p, img, 3.0, 1.0, gb)
         assert abs(a - b) < 1e-12
-        assert np.allclose((ma.c1, ma.c2), (mb.c2, mb.c1), rtol=0, atol=1e-12)
+        # the means swap too, so the gradients are opposite
+        assert np.allclose(ga, -gb, rtol=0, atol=1e-12)
 
     def test_grad_is_the_frozen_means_formula_exactly(self):
         rng = np.random.default_rng(6)
@@ -173,9 +194,9 @@ class TestRls:
         p = rng.uniform(0.05, 0.95, (7, 9))
         region = rng.uniform(0, 1, (7, 9)) < 0.6
         region[0, :2] = True
-        means = region_means(p, img, region)
-        d1 = (img - means.c1) ** 2
-        d2 = (img - means.c2) ** 2
+        c1, c2 = region_means(p, img, region)
+        d1 = (img - c1) ** 2
+        d2 = (img - c2) ** 2
         want = np.zeros_like(p)
         want[region] = (RLS_LAMBDA1 * d1[region]
                         - RLS_LAMBDA2 * d2[region]) / int(region.sum())
@@ -187,10 +208,10 @@ class TestRls:
         p0 = rng.uniform(0.05, 0.95, (8, 8))
         region = rng.uniform(0, 1, (8, 8)) < 0.7
         region[0, :2] = True
-        frozen = region_means(p0, img, region)
+        c1, c2 = region_means(p0, img, region)
         n = int(region.sum())
-        d1 = (img - frozen.c1) ** 2
-        d2 = (img - frozen.c2) ** 2
+        d1 = (img - c1) ** 2
+        d2 = (img - c2) ** 2
 
         def fn(x):
             val = float((RLS_LAMBDA1 * x * d1
