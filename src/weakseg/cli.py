@@ -16,12 +16,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import losses, metrics, recist, weaktrain
+from . import metrics, recist, weaktrain
 from .imgcore import decode_pgm, encode_pgm
 from .levelset import CvConfig, cv_energy, cv_evolve
 from .losses import bce_loss, finite_diff_check, iou_loss, rls_loss
-from .model import ArchConfig, forward, backward, init_params, load_model, \
-    new_workspace, param_views, save_model
+from .model import ArchConfig, init_params, load_model, new_workspace, \
+    param_views, save_model
 from .synthgen import Sample, SynthConfig, gen_dataset
 
 
@@ -147,7 +147,7 @@ def cmd_synth(args) -> int:
         field, _, rest = str(exc).partition(" ")
         flag = _SYNTH_FLAGS.get(field)
         raise UsageError(f"--{flag} {rest}" if flag else str(exc)) from None
-    write_dataset(samples, manifest, Path(args.out))
+    write_dataset(samples, manifest, _make_out(args.out))
     print(f"wrote {len(samples)} samples to {args.out}")
     return 0
 
@@ -155,8 +155,8 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     cfg = weaktrain.TrainConfig()
     if args.config:
-        text = Path(args.config).read_text()
         try:
+            text = Path(args.config).read_text()
             cfg = weaktrain.train_config_from_json(text)
         except ValueError as exc:
             raise UsageError(f"config {args.config}: {exc}") from exc
@@ -236,7 +236,7 @@ def _read_ellipse(path) -> recist.Ellipse:
     "center", finite numbers "a" and "b" and an optional finite "theta"."""
     try:
         spec = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise DataError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(spec, dict):
         raise DataError(f"{path}: ellipse spec must be a JSON object")
@@ -348,31 +348,23 @@ def cmd_gradcheck(args) -> int:
     return 2 if bad else 0
 
 
-def model_gradcheck(seed: int, size: int = 8, channels: int = 4) -> float:
-    """Finite-difference check of the whole model composed with the training
-    losses, over the parameter vector."""
+def model_gradcheck(seed: int) -> float:
+    """Finite-difference check of the training step's objective,
+    weaktrain.sample_losses with the RLS term, over the parameter vector on
+    an 8x8 sample built from a fixed annotation."""
     rng = np.random.default_rng(seed)
-    arch = ArchConfig(channels=channels)
-    params = init_params(seed, arch)
+    cfg = weaktrain.TrainConfig(arch=ArchConfig(channels=4))
+    params = init_params(seed, cfg.arch)
     # move heads well off zero so downstream gradients dominate fd noise
-    for name, view in param_views(params, arch).items():
+    for name, view in param_views(params, cfg.arch).items():
         if name.startswith("head") or name.endswith("_b"):
             view[...] = rng.uniform(-0.5, 0.5, view.shape)
-    img = rng.uniform(0, 1, (size, size))
-    region = np.ones((size, size), dtype=bool)
-    masks = []
-    for s in (4, 2, 1):
-        masks.append(rng.integers(0, 2, (size // s, size // s)).astype(np.int8))
-    weight = weaktrain.TrainConfig().rls_weight
-
-    def fn(vec):
-        p1, p2, p3, cache = forward(img, vec, arch)
-        seg_val, seg_grads = losses.seg_loss((p1, p2, p3), masks)
-        r = rls_loss(p3, img, region)
-        seg_grads[2] = seg_grads[2] + weight * r.grad
-        return seg_val + weight * r.value, backward(cache, seg_grads)
-
-    return finite_diff_check(fn, params)
+    ann = recist.RecistAnnotation((1.0, 4.0), (7.0, 4.0), (4.0, 2.0),
+                                  (4.0, 6.0))
+    sample = Sample.from_annotation(rng.uniform(0, 1, (8, 8)), ann)
+    workspace = new_workspace()
+    return finite_diff_check(lambda vec: weaktrain.sample_losses(
+        sample, vec, cfg, True, workspace)[:2], params)
 
 
 # ---------------------------------------------------------------------------

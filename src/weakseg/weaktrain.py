@@ -3,8 +3,9 @@ two-stage loss schedule, and the multi-round pseudo-mask update loop.
 
 The stage is a function of the epoch: epochs before
 ``TrainConfig.stage2_start`` train with the segmentation losses alone, later
-ones add the regional level set loss at weight ``TrainConfig.rls_weight``
-(unless ``rls_region`` is "off"), on the same optimizer state.
+ones add the regional level set loss at weight ``TrainConfig.rls_weight``,
+on the same optimizer state; ``stage2_start = epochs`` trains without it.
+``sample_losses`` is the one home of the objective a step descends.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ class TrainConfig:
     seed: int = 0
     long_side: tuple[int, int] = (32, 64)
     augment: bool = True
-    rls_region: str = "constrained"  # "constrained" | "whole_image" | "off"
+    rls_region: str = "constrained"  # "constrained" | "whole_image"
     arch: ArchConfig = ArchConfig()
 
     def __post_init__(self):
@@ -68,8 +69,9 @@ class TrainConfig:
                              f"{list(self.long_side)}")
         if self.long_side[0] > self.long_side[1]:
             raise ValueError("long-side range must satisfy lo <= hi")
-        if self.rls_region not in ("constrained", "whole_image", "off"):
-            raise ValueError(f"unknown rls_region {self.rls_region!r}")
+        if self.rls_region not in ("constrained", "whole_image"):
+            raise ValueError(f"unknown rls_region {self.rls_region!r}; "
+                             "stage2_start = epochs trains without RLS")
 
 
 def train_config_from_json(text: str) -> TrainConfig:
@@ -243,10 +245,15 @@ def augment(sample: Sample, rng: np.random.Generator, long_side):
 # ---------------------------------------------------------------------------
 # training
 
-def _sample_losses(sample: Sample, params, cfg: TrainConfig, with_rls: bool,
-                   workspace: dict):
-    """(seg value, RLS value, grads); the RLS value is None when the region
-    is degenerate, and the step then keeps only the segmentation loss."""
+def sample_losses(sample: Sample, params, cfg: TrainConfig, with_rls: bool,
+                  workspace: dict):
+    """The training objective of one sample: the segmentation loss on the
+    pseudo-mask pyramid plus, when ``with_rls``, the RLS loss on the
+    configured region at weight cfg.rls_weight. Returns (total, grads, seg
+    value, RLS value), grads the gradient of total over params. The RLS
+    value is 0.0 without the term and None when its region is degenerate,
+    and the step then keeps only the segmentation loss. A non-finite total
+    raises FloatingPointError naming the sample."""
     p1, p2, p3, cache = forward(sample.image, params, cfg.arch, workspace)
     seg_val, seg_grads = seg_loss((p1, p2, p3),
                                   make_pseudo_masks(sample.pseudo))
@@ -261,8 +268,11 @@ def _sample_losses(sample: Sample, params, cfg: TrainConfig, with_rls: bool,
         else:
             rls_val = r.value
             seg_grads[2] = seg_grads[2] + cfg.rls_weight * r.grad
-    grads = backward(cache, seg_grads)
-    return seg_val, rls_val, grads
+    total = seg_val + cfg.rls_weight * (rls_val or 0.0)
+    if not np.isfinite(total):
+        raise FloatingPointError(
+            f"non-finite loss on sample {sample.sample_id!r}")
+    return total, backward(cache, seg_grads), seg_val, rls_val
 
 
 def train_schedule(dataset, cfg: TrainConfig):
@@ -270,11 +280,11 @@ def train_schedule(dataset, cfg: TrainConfig):
     RNG. The stage is a function of the epoch: an epoch before
     cfg.stage2_start trains with the segmentation losses alone
     ('seg_only'); a later one adds the regional level set loss at weight
-    cfg.rls_weight ('seg_plus_rls'), unless cfg.rls_region is 'off'. A step
-    whose RLS region is degenerate drops its RLS term (counted 0 in the
-    epoch mean) and counts in history.rls_skips; a sample whose augmentation
-    is skipped takes no step and counts in history.augment_skips. Returns
-    (params, history)."""
+    cfg.rls_weight ('seg_plus_rls'), so stage2_start = epochs never adds
+    it. Each step descends sample_losses. A step whose RLS region is
+    degenerate drops its RLS term (counted 0 in the epoch mean) and counts
+    in history.rls_skips; a sample whose augmentation is skipped takes no
+    step and counts in history.augment_skips. Returns (params, history)."""
     if not dataset:
         raise ValueError("dataset is empty")
     params = init_params(cfg.seed, cfg.arch)
@@ -283,7 +293,7 @@ def train_schedule(dataset, cfg: TrainConfig):
     workspace = new_workspace()
     history = TrainHistory()
     for epoch in range(cfg.epochs):
-        with_rls = epoch >= cfg.stage2_start and cfg.rls_region != "off"
+        with_rls = epoch >= cfg.stage2_start
         lr = cfg.lr * (0.1 ** sum(epoch >= d for d in cfg.decay_epochs))
         order = rng.permutation(len(dataset))
         seg_sum = 0.0
@@ -296,15 +306,11 @@ def train_schedule(dataset, cfg: TrainConfig):
                 if skipped:
                     history.augment_skips += 1
                     continue
-            seg_val, rls_val, grads = _sample_losses(sample, params, cfg,
-                                                     with_rls, workspace)
+            _, grads, seg_val, rls_val = sample_losses(sample, params, cfg,
+                                                       with_rls, workspace)
             if rls_val is None:
                 history.rls_skips += 1
                 rls_val = 0.0
-            total = seg_val + cfg.rls_weight * rls_val
-            if not np.isfinite(total):
-                raise FloatingPointError(
-                    f"non-finite loss on sample {sample.sample_id!r}")
             params, state = adam_step(params, grads, state, lr)
             seg_sum += seg_val
             rls_sum += rls_val

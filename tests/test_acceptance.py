@@ -55,9 +55,9 @@ def mean_test_dice(params, arch, test):
 
 
 def train_variant(train, test, seed, rls_region, rounds=1, on_round=None,
-                  rls_weight=0.1):
+                  **overrides):
     cfg = TrainConfig(rounds=rounds, seed=seed, rls_region=rls_region,
-                      rls_weight=rls_weight, **BENCH_TRAIN)
+                      **{**BENCH_TRAIN, **overrides})
     params, _ = train_rounds(train, cfg, on_round=on_round)
     return mean_test_dice(params, cfg.arch, test)
 
@@ -168,7 +168,8 @@ def test_criterion_5_rls_ablation():
     diffs = []
     for seed in BENCH_SEEDS:
         with_rls = train_variant(train, test, seed, "constrained")
-        seg_only = train_variant(train, test, seed, "off")
+        seg_only = train_variant(train, test, seed, "constrained",
+                                 stage2_start=BENCH_TRAIN["epochs"])
         diffs.append(with_rls - seg_only)
     elapsed = time.time() - t0
     wins = sum(d > 0 for d in diffs)

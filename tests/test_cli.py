@@ -136,6 +136,14 @@ class TestSynth:
                     "manifest.csv"):
             assert (a / rel).read_bytes() == (b / rel).read_bytes()
 
+    def test_out_is_a_file_is_named(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        out.write_text("not a directory")
+        assert run("synth", "--n", "1", "--out", str(out)) == 2
+        assert f"--out {out}: cannot make the run directory" \
+            in capsys.readouterr().err
+        assert out.read_text() == "not a directory"
+
 
 class TestTrainEval:
     def test_train_then_eval(self, dataset_dir, tmp_path):
@@ -585,12 +593,13 @@ class TestSegmentCv:
         ('{"center": [NaN, 4], "a": 3, "b": 2}', "'center'"),
         pytest.param('{"center": [4, 4], "a": 1%s, "b": 2}' % ("0" * 400),
                      "'a'", id="a-past-the-float-range"),
+        (b'\xff\xfe{}', "not valid JSON ('utf-8' codec can't decode"),
     ])
     def test_bad_ellipse_is_data_error(self, tmp_path, capsys, text, named):
         img_file = tmp_path / "img.pgm"
         img_file.write_bytes(encode_pgm(np.full((8, 8), 0.5)))
         spec = tmp_path / "ellipse.json"
-        spec.write_text(text)
+        spec.write_bytes(text if isinstance(text, bytes) else text.encode())
         assert run("segment-cv", "--image", str(img_file), "--ellipse",
                    str(spec), "--out", str(tmp_path / "m.pgm")) == 2
         err = capsys.readouterr().err
@@ -692,6 +701,21 @@ class TestGradcheckAndUsage:
             "bce", "iou", "rls", "cv", "model+losses"]
         assert all(l.endswith("(OK)") for l in lines)
 
+    def test_gradcheck_runs_the_training_step(self, monkeypatch, capsys):
+        real = weaktrain.sample_losses
+
+        def off_by_one_percent(*args):
+            total, grads, *rest = real(*args)
+            return total, 1.01 * grads, *rest
+
+        monkeypatch.setattr(weaktrain, "sample_losses", off_by_one_percent)
+        assert run("gradcheck", "--seed", "0") == 2
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert [l.partition(":")[0] for l in lines] == [
+            "bce", "iou", "rls", "cv", "model+losses"]
+        assert all(l.endswith("(OK)") for l in lines[:4])
+        assert "(FAIL, limit 0.001)" in lines[4]
+
     def test_usage_errors(self, dataset_dir, tmp_path):
         assert run() == 1
         assert run("synth") == 1
@@ -753,11 +777,14 @@ class TestGradcheckAndUsage:
         ('{"arch": {"sa_enabled": false}}', "'arch.sa_enabled'"),
         ('{"lr": NaN}', "lr must be positive and finite, got nan"),
         ('{"arch": {"pad_mode": "zero"}}', "'arch.pad_mode'"),
+        ('{"rls_region": "off"}', "stage2_start = epochs"),
+        (b'\xff\xfe{}', "cfg.json: 'utf-8' codec can't decode"),
     ])
     def test_bad_config_is_usage_error(self, dataset_dir, tmp_path, capsys,
                                        text, named):
         cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(text)
+        cfg_file.write_bytes(text if isinstance(text, bytes)
+                             else text.encode())
         assert run("train", "--data", str(dataset_dir), "--config",
                    str(cfg_file), "--out", str(tmp_path / "m")) == 1
         assert named in capsys.readouterr().err

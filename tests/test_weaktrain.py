@@ -41,6 +41,8 @@ class TestConfig:
             TrainConfig(long_side=(64, 32))
         with pytest.raises(ValueError):
             TrainConfig(rls_region="sometimes")
+        with pytest.raises(ValueError, match="stage2_start = epochs"):
+            TrainConfig(rls_region="off")
         # decay epochs past the schedule's end are allowed: the default
         # (40, 60) meets short schedules
         assert TrainConfig(epochs=4, stage2_start=2,
@@ -270,7 +272,7 @@ class TestTraining:
 
     def test_rls_off_never_enters_stage2(self):
         ds = tiny_dataset()
-        cfg = tiny_config(epochs=2, stage2_start=1, rls_region="off")
+        cfg = tiny_config(epochs=2, stage2_start=2)
         _, history = train_schedule(ds, cfg)
         assert all(r.stage == "seg_only" for r in history.records)
         assert all(r.mean_rls_loss == 0.0 for r in history.records)
@@ -374,7 +376,7 @@ class TestTraining:
         # a skipped augmentation takes no step, so it must not dilute the
         # logged means; epoch 0 is seg-only, epoch 1 adds the RLS term
         ds = tiny_dataset(n=3)
-        real_augment, real_losses = weaktrain.augment, weaktrain._sample_losses
+        real_augment, real_losses = weaktrain.augment, weaktrain.sample_losses
         seen = []
 
         def skip_first(sample, rng, long_side):
@@ -384,11 +386,11 @@ class TestTraining:
 
         def recording(*args):
             out = real_losses(*args)
-            seen.append(out[:2])
+            seen.append(out[2:])
             return out
 
         monkeypatch.setattr(weaktrain, "augment", skip_first)
-        monkeypatch.setattr(weaktrain, "_sample_losses", recording)
+        monkeypatch.setattr(weaktrain, "sample_losses", recording)
         cfg = tiny_config(augment=True, long_side=(24, 40))
         _, history = train_schedule(ds, cfg)
         assert len(seen) == 2 * (len(ds) - 1)
@@ -403,7 +405,7 @@ class TestTraining:
     def test_degenerate_rls_region_is_counted(self, monkeypatch):
         # the step keeps its segmentation loss and logs an RLS value of 0
         ds = tiny_dataset(n=3)
-        real_rls, real_losses = weaktrain.rls_loss, weaktrain._sample_losses
+        real_rls, real_losses = weaktrain.rls_loss, weaktrain.sample_losses
         seen = []
 
         def degenerate_for_first(p, img, *args, **kwargs):
@@ -413,11 +415,11 @@ class TestTraining:
 
         def recording(*args):
             out = real_losses(*args)
-            seen.append(out[:2])
+            seen.append(out[2:])
             return out
 
         monkeypatch.setattr(weaktrain, "rls_loss", degenerate_for_first)
-        monkeypatch.setattr(weaktrain, "_sample_losses", recording)
+        monkeypatch.setattr(weaktrain, "sample_losses", recording)
         cfg = tiny_config()  # epoch 0 seg-only, epoch 1 with the RLS term
         params, history = train_schedule(ds, cfg)
         assert history.rls_skips == 1
