@@ -158,7 +158,7 @@ def cmd_train(args) -> int:
         try:
             text = Path(args.config).read_text()
             cfg = weaktrain.train_config_from_json(text)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise UsageError(f"config {args.config}: {exc}") from exc
     records = load_dataset(Path(args.data))
     _check_model_sides(records, Path(args.data))
@@ -166,13 +166,11 @@ def cmd_train(args) -> int:
     dataset = [Sample.from_annotation(r.image, r.annotation, r.gt_mask,
                                       r.sample_id) for r in records]
     params, histories = weaktrain.train_rounds(dataset, cfg)
-    # a round that reuses the previous round's training shares its history
-    trained = {id(h): h for h in histories}.values()
-    skips = sum(h.rls_skips for h in trained)
+    skips = sum(h.rls_skips for h in histories)
     if skips:
         print(f"warning: dropped the RLS term of {skips} training step(s) "
               "with a degenerate region", file=sys.stderr)
-    skips = sum(h.augment_skips for h in trained)
+    skips = sum(h.augment_skips for h in histories)
     if skips:
         print(f"warning: skipped {skips} training step(s) whose 10 "
               "augmentation draws all failed", file=sys.stderr)
@@ -236,7 +234,7 @@ def _read_ellipse(path) -> recist.Ellipse:
     "center", finite numbers "a" and "b" and an optional finite "theta"."""
     try:
         spec = json.loads(Path(path).read_text())
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # also UnicodeDecodeError
         raise DataError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(spec, dict):
         raise DataError(f"{path}: ellipse spec must be a JSON object")
@@ -315,6 +313,8 @@ def cmd_fit_ellipse(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     shape = (8, 8)
     img = rng.uniform(0, 1, shape)

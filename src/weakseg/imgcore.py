@@ -82,6 +82,9 @@ def decode_pgm(data: bytes) -> np.ndarray:
             raise DecodeError(f"truncated raster at byte {len(data)}")
         values = np.frombuffer(raster, dtype=np.uint8, count=n)
     else:
+        # each sample takes a digit and the whitespace before it
+        if len(data) - pos < 2 * n:
+            raise DecodeError(f"truncated raster at byte {len(data)}")
         values = np.empty(n, dtype=np.uint8)
         for i in range(n):
             tok, pos = _next_token(data, pos)

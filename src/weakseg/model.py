@@ -382,46 +382,37 @@ def scale_attention_fuse(f1: np.ndarray, f2: np.ndarray, params: dict):
     """
     if f1.shape != f2.shape:
         raise ValueError(f"scale shapes differ: {f1.shape} vs {f2.shape}")
-    feats = (f1, f2)
-    zs, pre1s, hs, gates = [], [], [], []
-    for f, pfx in zip(feats, ("sa1", "sa2")):
+    branches = []
+    for pfx, f in (("sa1", f1), ("sa2", f2)):
         z = f.mean(axis=(1, 2))
         pre1 = params[f"{pfx}_w1"] @ z + params[f"{pfx}_b1"]
-        hdd = relu(pre1)
-        a = expit(params[f"{pfx}_w2"] @ hdd + params[f"{pfx}_b2"])
-        zs.append(z)
-        pre1s.append(pre1)
-        hs.append(hdd)
-        gates.append(a)
-    total = gates[0] + gates[1]
-    w1n = gates[0] / total
-    w2n = gates[1] / total
-    fused = w1n[:, None, None] * f1 + w2n[:, None, None] * f2
-    cache = (feats, zs, pre1s, hs, gates, (w1n, w2n))
-    return fused, cache
+        hidden = relu(pre1)
+        gate = expit(params[f"{pfx}_w2"] @ hidden + params[f"{pfx}_b2"])
+        branches.append((pfx, f, z, pre1, hidden, gate))
+    total = branches[0][5] + branches[1][5]
+    wn = [b[5] / total for b in branches]
+    fused = wn[0][:, None, None] * f1 + wn[1][:, None, None] * f2
+    return fused, (branches, total, wn)
 
 
 def scale_attention_backward(dout: np.ndarray, cache, params: dict,
                              grads: dict):
     """Returns (df1, df2); writes the gate gradients into the views grads."""
-    feats, zs, pre1s, hs, gates, (w1n, w2n) = cache
-    f1, f2 = feats
-    npix = f1.shape[1] * f1.shape[2]
-    df = [w1n[:, None, None] * dout, w2n[:, None, None] * dout]
-    dwn = [np.sum(dout * f1, axis=(1, 2)), np.sum(dout * f2, axis=(1, 2))]
-    total = gates[0] + gates[1]
-    da = [(dwn[0] - dwn[1]) * gates[1] / total ** 2,
-          (dwn[1] - dwn[0]) * gates[0] / total ** 2]
-    for s, pfx in enumerate(("sa1", "sa2")):
-        dpre2 = da[s] * gates[s] * (1.0 - gates[s])
-        grads[f"{pfx}_w2"][...] = np.outer(dpre2, hs[s])
+    branches, total, wn = cache
+    npix = dout.shape[1] * dout.shape[2]
+    dwn = [np.sum(dout * b[1], axis=(1, 2)) for b in branches]
+    df = []
+    for s, (pfx, _, z, pre1, hidden, gate) in enumerate(branches):
+        da = (dwn[s] - dwn[1 - s]) * branches[1 - s][5] / total ** 2
+        dpre2 = da * gate * (1.0 - gate)
+        grads[f"{pfx}_w2"][...] = np.outer(dpre2, hidden)
         grads[f"{pfx}_b2"][...] = dpre2
         dh = params[f"{pfx}_w2"].T @ dpre2
-        dpre1 = dh * (pre1s[s] > 0)
-        grads[f"{pfx}_w1"][...] = np.outer(dpre1, zs[s])
+        dpre1 = dh * (pre1 > 0)
+        grads[f"{pfx}_w1"][...] = np.outer(dpre1, z)
         grads[f"{pfx}_b1"][...] = dpre1
         dz = params[f"{pfx}_w1"].T @ dpre1
-        df[s] = df[s] + dz[:, None, None] / npix
+        df.append(wn[s][:, None, None] * dout + dz[:, None, None] / npix)
     return df[0], df[1]
 
 
@@ -574,7 +565,7 @@ def load_model(path):
         line, payload = fh.readline(), fh.read()
     try:
         header = json.loads(line.decode("ascii"))
-    except ValueError:
+    except (ValueError, RecursionError):
         header = None
     if not isinstance(header, dict):
         raise ValueError(f"{path}: the first line is not a JSON object")

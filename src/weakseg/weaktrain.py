@@ -337,31 +337,22 @@ def train_rounds(dataset, cfg: TrainConfig, on_round=None):
     """The multi-round procedure: train from scratch on the ellipse pseudo
     masks, then repeatedly re-infer, update pseudo masks, and retrain from
     scratch. Returns (final params, per-round histories). ``on_round`` is
-    called with (round index, params) after each round's training.
-
-    Training is deterministic in the dataset, so once an update changes no
-    pseudo mask every later round would retrain to the same parameters and
-    history: those rounds reuse the last round's instead (and ``on_round``
-    is still called once per round)."""
+    called with (round index, params) after each round's training."""
     dataset = list(dataset)
     histories = []
-    changed = True
     for rnd in range(cfg.rounds):
-        if changed:
-            params, history = train_schedule(dataset, cfg)  # same init
+        params, history = train_schedule(dataset, cfg)  # same init
         histories.append(history)
         if on_round is not None:
             on_round(rnd, params)
-        if not changed or rnd == cfg.rounds - 1:
-            continue
-        changed = False
+        if rnd == cfg.rounds - 1:
+            break
         workspace = new_workspace()
         for i, sample in enumerate(dataset):
             p = predict(sample.image, params, cfg.arch, workspace)
             emask = rasterize_ellipse(
                 sample.ellipse, (sample.image.shape[1], sample.image.shape[0]))
             new_pseudo, retain = update_pseudo_mask(p, emask)
-            if not (retain or np.array_equal(new_pseudo, sample.pseudo)):
+            if not retain:
                 dataset[i] = replace(sample, pseudo=new_pseudo)
-                changed = True
     return params, histories

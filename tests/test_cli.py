@@ -274,8 +274,8 @@ class TestTrainEval:
             return real(sample, rng, long_side)
 
         monkeypatch.setattr(weaktrain, "augment", skip_000)
-        # no mask changes, so rounds 2 and 3 reuse round 1's training and
-        # its history: its 2 skips are counted once
+        # no mask changes, yet each of the 3 rounds trains 2 epochs and
+        # skips sample 000 in both: 6 skips
         monkeypatch.setattr(weaktrain, "update_pseudo_mask",
                             lambda p, emask: (None, True))
         cfg_file = tmp_path / "cfg.json"
@@ -284,7 +284,7 @@ class TestTrainEval:
              "long_side": [24, 32], "arch": {"channels": 2}}))
         assert run("train", "--data", str(dataset_dir), "--config",
                    str(cfg_file), "--out", str(tmp_path / "model")) == 0
-        assert "skipped 2 training step(s)" in capsys.readouterr().err
+        assert "skipped 6 training step(s)" in capsys.readouterr().err
 
     def test_out_is_a_file_fails_before_training(self, dataset_dir,
                                                   tmp_path, monkeypatch,
@@ -464,6 +464,8 @@ class TestModelFile:
         (lambda h, p: (h, p[:-8]), "the payload holds"),
         (lambda h, p: (h, p + bytes(8)), "the payload holds"),
         (lambda h, p: (b"{", p), "not a JSON object"),
+        pytest.param(lambda h, p: (b"[" * 100000, p), "not a JSON object",
+                     id="deep-nesting"),
     ])
     def test_bad_model_file_is_data_error(self, dataset_dir, tmp_path,
                                           capsys, edit, named):
@@ -572,6 +574,16 @@ class TestSegmentCv:
         assert capsys.readouterr().out.endswith(
             f" {rows - 1} iterations)\n")
 
+    def test_image_claiming_more_samples_than_its_bytes_hold(self, tmp_path,
+                                                              capsys):
+        img_file = tmp_path / "big.pgm"
+        img_file.write_bytes(b"P2\n1000000000 1000000000\n255\n1 2 3\n")
+        spec = tmp_path / "ellipse.json"
+        spec.write_text('{"center": [4, 4], "a": 3, "b": 2}')
+        assert run("segment-cv", "--image", str(img_file), "--ellipse",
+                   str(spec), "--out", str(tmp_path / "m.pgm")) == 2
+        assert f"{img_file}: truncated raster" in capsys.readouterr().err
+
     def test_needs_init_or_ellipse(self, tmp_path):
         img_file = tmp_path / "img.pgm"
         img_file.write_bytes(encode_pgm(np.full((8, 8), 0.5)))
@@ -594,6 +606,8 @@ class TestSegmentCv:
         pytest.param('{"center": [4, 4], "a": 1%s, "b": 2}' % ("0" * 400),
                      "'a'", id="a-past-the-float-range"),
         (b'\xff\xfe{}', "not valid JSON ('utf-8' codec can't decode"),
+        pytest.param("[" * 100000, "not valid JSON (maximum recursion depth",
+                     id="deep-nesting"),
     ])
     def test_bad_ellipse_is_data_error(self, tmp_path, capsys, text, named):
         img_file = tmp_path / "img.pgm"
@@ -716,6 +730,10 @@ class TestGradcheckAndUsage:
         assert all(l.endswith("(OK)") for l in lines[:4])
         assert "(FAIL, limit 0.001)" in lines[4]
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        assert run("gradcheck", "--seed", "-1") == 1
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+
     def test_usage_errors(self, dataset_dir, tmp_path):
         assert run() == 1
         assert run("synth") == 1
@@ -779,6 +797,8 @@ class TestGradcheckAndUsage:
         ('{"arch": {"pad_mode": "zero"}}', "'arch.pad_mode'"),
         ('{"rls_region": "off"}', "stage2_start = epochs"),
         (b'\xff\xfe{}', "cfg.json: 'utf-8' codec can't decode"),
+        pytest.param("[" * 100000, "cfg.json: maximum recursion depth",
+                     id="deep-nesting"),
     ])
     def test_bad_config_is_usage_error(self, dataset_dir, tmp_path, capsys,
                                        text, named):

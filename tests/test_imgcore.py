@@ -65,6 +65,17 @@ class TestPgmCodec:
         with pytest.raises(DecodeError):
             decode_pgm(b"P5\n2 2\n255\n\x00\x00")
 
+    def test_p2_claiming_more_samples_than_its_bytes_hold(self):
+        # each P2 sample takes a digit and a separator, so 10**18 claimed
+        # samples fail before any allocation
+        for raw in (b"P2\n1000000000 1000000000\n255\n1 2 3\n",
+                    b"P2\n2 2\n255\n1 2 3\n"):
+            with pytest.raises(DecodeError, match="truncated raster"):
+                decode_pgm(raw)
+        assert decode_pgm(b"P2\n2 2\n255\n0 0 0 0").shape == (2, 2)
+        assert decode_pgm(b"P2\n2 1\n255\n# c\n0 255").tolist() == [
+            [0.0, 1.0]]
+
 
 class TestAffine:
     def test_identity(self):

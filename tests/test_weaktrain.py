@@ -441,11 +441,11 @@ class TestTraining:
         assert len(histories) == 2
         assert len(histories[0].records) == cfg.epochs
 
-    def test_rounds_without_mask_change_reuse_the_training(self,
-                                                           monkeypatch):
+    def test_rounds_without_mask_change_retrain_the_same_bytes(self,
+                                                               monkeypatch):
         # 2 epochs at channels 2 never reach 0.5 inside an ellipse, so every
-        # sample is retained: rounds 2 and 3 would retrain to the same bytes,
-        # and train_rounds reuses round 1 instead
+        # sample is retained: every round trains, and rounds 2 and 3
+        # retrain to round 1's bytes
         ds = tiny_dataset(n=6)
         cfg = tiny_config(rounds=3)
         want_params, want_history = train_schedule(ds, cfg)
@@ -458,7 +458,7 @@ class TestTraining:
         monkeypatch.setattr(weaktrain, "train_schedule", counting)
         params, histories = train_rounds(
             ds, cfg, on_round=lambda rnd, p: seen.append((rnd, p.copy())))
-        assert len(calls) == 1
+        assert len(calls) == 3
         assert [rnd for rnd, _ in seen] == [0, 1, 2]
         for p in [params] + [p for _, p in seen]:
             assert p.tobytes() == want_params.tobytes()
