@@ -1,11 +1,12 @@
-"""Core raster types, PGM codec, affine transforms and the bilinear warp.
+"""Core raster types, the PGM codec and the bilinear affine warp.
 
 Images are 2-D float64 arrays of shape (height, width) with intensities in
 [0, 1]. Binary masks are bool arrays, tri-label masks int8 arrays (see
 ``BG``/``FG``/``IGNORE``). Point coordinates are (x, y) with the center of
 pixel (row r, col c) at (c + 0.5, r + 0.5). Affine transforms are 2x3
-matrices mapping source coordinates to output coordinates; ``apply_affine``
-warps an image by one with ``scipy.ndimage.affine_transform``.
+matrices mapping source coordinates to output coordinates; ``affine_invert``
+inverts one and ``apply_affine`` warps an image by one with
+``scipy.ndimage.affine_transform``.
 """
 
 from __future__ import annotations
@@ -66,7 +67,10 @@ def decode_pgm(data: bytes) -> np.ndarray:
     for _ in range(3):
         tok, pos = _next_token(data, pos)
         try:
-            header.append(int(tok))
+            # int() would also take a sign and underscores
+            if not tok.isdigit():
+                raise ValueError
+            header.append(int(tok))  # ValueError past int()'s digit limit
         except ValueError:
             raise DecodeError(f"non-numeric header token {tok!r} at byte {pos}")
     width, height, maxval = header
@@ -88,10 +92,15 @@ def decode_pgm(data: bytes) -> np.ndarray:
         values = np.empty(n, dtype=np.uint8)
         for i in range(n):
             tok, pos = _next_token(data, pos)
-            v = int(tok)
-            if v < 0 or v > maxval:
-                raise DecodeError(f"sample {v} out of range at byte {pos}")
-            values[i] = v
+            if not tok.isdigit():
+                raise DecodeError(f"non-numeric sample {tok!r} at byte {pos}")
+            # more than 3 significant digits exceed maxval <= 255, and int()
+            # would fail past its digit limit
+            digits = tok.lstrip(b"0") or b"0"
+            if len(digits) > 3 or int(digits) > maxval:
+                raise DecodeError(f"sample {tok.decode()} out of range at "
+                                  f"byte {pos}")
+            values[i] = int(digits)
     if values.max(initial=0) > maxval:
         raise DecodeError(f"sample exceeds maxval {maxval}")
     img = values.reshape(height, width).astype(np.float64) / maxval
@@ -109,32 +118,6 @@ def encode_pgm(img: np.ndarray) -> bytes:
 # ---------------------------------------------------------------------------
 # Affine transforms (2x3, row-major: out = M[:, :2] @ (x, y) + M[:, 2])
 
-def affine_translation(dx: float, dy: float) -> np.ndarray:
-    return np.array([[1.0, 0.0, dx], [0.0, 1.0, dy]])
-
-
-def affine_rotation(theta: float, center=(0.0, 0.0)) -> np.ndarray:
-    """Counter-clockwise rotation by theta radians about a point."""
-    c, s = np.cos(theta), np.sin(theta)
-    cx, cy = center
-    return np.array([
-        [c, -s, cx - c * cx + s * cy],
-        [s, c, cy - s * cx - c * cy],
-    ])
-
-
-def affine_scaling(s: float) -> np.ndarray:
-    return np.array([[s, 0.0, 0.0], [0.0, s, 0.0]])
-
-
-def affine_compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Transform applying b first, then a."""
-    m = np.empty((2, 3))
-    m[:, :2] = a[:, :2] @ b[:, :2]
-    m[:, 2] = a[:, :2] @ b[:, 2] + a[:, 2]
-    return m
-
-
 def affine_invert(t: np.ndarray) -> np.ndarray:
     lin = np.asarray(t, dtype=np.float64)[:, :2]
     det = lin[0, 0] * lin[1, 1] - lin[0, 1] * lin[1, 0]
@@ -145,12 +128,6 @@ def affine_invert(t: np.ndarray) -> np.ndarray:
     m[:, :2] = inv
     m[:, 2] = -inv @ t[:, 2]
     return m
-
-
-def affine_apply_points(t: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Apply the transform to an (n, 2) array of (x, y) points."""
-    p = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-    return p @ np.asarray(t)[:, :2].T + np.asarray(t)[:, 2]
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imgcore import affine_apply_points
-
 REGION_AREA_FACTOR = 2.0  # semi-axis scale for the constrained region (area x4)
 
 
@@ -130,9 +128,9 @@ def constrained_region(e: Ellipse, dims) -> np.ndarray:
 
 
 def transform_annotation(ann: RecistAnnotation, t: np.ndarray) -> RecistAnnotation:
-    """Map the four endpoints through an affine transform, re-assigning
+    """Map the four endpoints through a 2x3 affine transform, re-assigning
     long/short roles by post-transform lengths."""
-    pts = affine_apply_points(t, ann.endpoints())
+    pts = ann.endpoints() @ t[:, :2].T + t[:, 2]
     d1 = float(np.hypot(*(pts[1] - pts[0])))
     d2 = float(np.hypot(*(pts[3] - pts[2])))
     if min(d1, d2) <= 1e-12:

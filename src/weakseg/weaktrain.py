@@ -19,9 +19,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from . import imgcore
-from .imgcore import BG, FG, IGNORE, affine_compose, affine_rotation, \
-    affine_scaling, affine_translation, apply_affine
+from .imgcore import BG, FG, IGNORE, apply_affine
 from .losses import DegenerateRegionError, rls_loss, seg_loss
 from .model import ArchConfig, adam_init, adam_step, backward, forward, \
     init_params, new_workspace
@@ -208,18 +206,14 @@ def augment(sample: Sample, rng: np.random.Generator, long_side):
     for _ in range(10):
         scale = rng.uniform(0.8, 1.2)
         theta = rng.uniform(-np.pi / 6.0, np.pi / 6.0)
-        target_long = rng.uniform(*long_side)
-        out_side = _round4(target_long)
-        total_scale = scale * out_side / max(h, w)
-        t = affine_compose(
-            affine_scaling(total_scale),
-            affine_rotation(theta, center=(w / 2.0, h / 2.0)))
-        # recenter the lesion, with a random crop-like jitter
-        cx, cy = imgcore.affine_apply_points(t, [sample.ellipse.center])[0]
+        out_side = _round4(rng.uniform(*long_side))
+        c, s = np.cos(theta), np.sin(theta)
+        lin = scale * out_side / max(h, w) * np.array([[c, -s], [s, c]])
+        # x -> lin (x - E) + shift: the ellipse centre E lands at shift,
+        # the grid's middle with a random crop-like jitter (x, then y)
         jitter = 0.1 * out_side
-        t = affine_compose(affine_translation(
-            out_side / 2.0 - cx + rng.uniform(-jitter, jitter),
-            out_side / 2.0 - cy + rng.uniform(-jitter, jitter)), t)
+        shift = out_side / 2.0 + rng.uniform(-jitter, jitter, 2)
+        t = np.column_stack([lin, shift - lin @ sample.ellipse.center])
         try:
             ann = transform_annotation(sample.annotation, t)
         except DegenerateAnnotationError:

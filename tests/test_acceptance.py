@@ -162,6 +162,7 @@ def test_criterion_4_chan_vese_solver():
            f"{elapsed:.1f}s (< 5s)")
 
 
+@pytest.mark.slow
 def test_criterion_5_rls_ablation():
     t0 = time.time()
     train, test = bench_datasets()
@@ -180,6 +181,7 @@ def test_criterion_5_rls_ablation():
            + f", {elapsed:.0f}s (< 600s)")
 
 
+@pytest.mark.slow
 def test_criterion_6_constrained_vs_whole_image():
     t0 = time.time()
     # the regional term is weighted up so the choice of region dominates
@@ -202,6 +204,7 @@ def test_criterion_6_constrained_vs_whole_image():
            + f", {elapsed:.0f}s (< 600s)")
 
 
+@pytest.mark.slow
 def test_criterion_7_round_stability():
     train, test = bench_datasets()
     arch = BENCH_TRAIN["arch"]

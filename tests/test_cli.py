@@ -42,6 +42,23 @@ def dataset_dir(tmp_path):
     return out
 
 
+# an image file that decode_pgm rejects, and the start of its message
+BAD_PGM = {
+    "non-numeric sample": (b"P2 1 1 255 x", "non-numeric sample b'x'"),
+    "non-numeric header": (b"P2 1 x 255 0", "non-numeric header token b'x'"),
+    "underscored width": (b"P2 1_0 1 255 " + b"0 " * 10,
+                          "non-numeric header token b'1_0'"),
+    "5000-digit width": (b"P2 " + b"1" * 5000 + b" 1 255 0",
+                         "non-numeric header token b'111"),
+    "zero width": (b"P2 0 2 255 0 0", "bad dimensions 0x2"),
+    "header ends early": (b"P2 1 1", "unexpected end of header at byte 6"),
+    "P2 sample over maxval": (b"P2 1 1 100 101", "sample 101 out of range"),
+    "5000-digit sample": (b"P2 1 1 255 " + b"1" * 5000, "sample 111"),
+    "P5 sample over maxval": (b"P5 1 1 100\n\xff",
+                              "sample exceeds maxval 100"),
+}
+
+
 class TestDatasetIo:
     def test_roundtrip(self, dataset_dir):
         samples = [Sample.from_annotation(r.image, r.annotation, r.gt_mask,
@@ -65,23 +82,34 @@ class TestDatasetIo:
         assert str(gt_file) in str(info.value)
         assert "20x16" in str(info.value)
 
-    @pytest.mark.parametrize("case", ["truncated image", "non-numeric field",
-                                      "zero-length axis", "inf", "nan"])
+    @pytest.mark.parametrize("case", [
+        "truncated image", *BAD_PGM, "non-numeric field", "zero-length axis",
+        "inf", "nan", "no csv header", "short csv row"])
     def test_malformed_input_names_the_file(self, dataset_dir, tmp_path,
                                             capsys, case):
         csv_file = dataset_dir / "recist.csv"
+        bad = dataset_dir / "images" / "001.pgm"
+        rows = csv_file.read_text().splitlines()
         if case == "truncated image":
-            bad = dataset_dir / "images" / "001.pgm"
             bad.write_bytes(bad.read_bytes()[:15])
             named = f"{bad}: truncated raster"
+        elif case in BAD_PGM:
+            raw, named = BAD_PGM[case]
+            bad.write_bytes(raw)
+            named = f"{bad}: {named}"
+        elif case == "no csv header":
+            csv_file.write_text("\n".join(rows[1:]) + "\n")
+            named = f"{csv_file}: annotation CSV must start with an image_id"
         else:
-            rows = csv_file.read_text().splitlines()
             fields = rows[2].split(",")
             named = f"{csv_file}: line 3: "
             if case == "non-numeric field":
                 fields[3] = "abc"
             elif case == "zero-length axis":  # the long end is its start
                 fields[3:5] = fields[1:3]
+            elif case == "short csv row":
+                fields = fields[:4]
+                named += "annotation row needs 9 fields, got 4"
             else:
                 fields[1] = case
                 named += f"x1 must be finite, got {case}"

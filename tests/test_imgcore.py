@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from weakseg import imgcore
-from weakseg.imgcore import (DecodeError, affine_compose, affine_invert,
-                             affine_rotation, affine_translation,
-                             affine_scaling, apply_affine, decode_pgm,
-                             encode_pgm)
+from weakseg.imgcore import (DecodeError, affine_invert, apply_affine,
+                             decode_pgm, encode_pgm)
+
+from test_recist import similarity
 
 
 class TestPgmCodec:
@@ -16,6 +16,8 @@ class TestPgmCodec:
         img = decode_pgm(b"P2\n1 1\n255\n255")
         assert img.shape == (1, 1)
         assert img[0, 0] == 1.0
+        # leading zeros do not count towards a sample's digits
+        assert decode_pgm(b"P2 1 1 255 " + b"0" * 4997 + b"255") == img
 
     def test_p2_endpoints(self):
         img = decode_pgm(b"P2\n2 1\n255\n0 255")
@@ -87,7 +89,7 @@ class TestAffine:
 
     def test_rotation_permutes_2x2(self):
         img = np.array([[0.1, 0.2], [0.3, 0.4]])
-        t = affine_rotation(np.pi / 2, center=(1.0, 1.0))
+        t = similarity(np.pi / 2, shift=(1.0, 1.0), center=(1.0, 1.0))
         out = apply_affine(img, t, (2, 2))
         # index-permutation oracle: (x, y) -> (cx - (y - cy), cy + (x - cx))
         # in y-down pixel coordinates, so top-left lands at top-right
@@ -96,15 +98,16 @@ class TestAffine:
     def test_full_out_of_bounds_translation(self):
         rng = np.random.default_rng(6)
         img = rng.uniform(0.2, 1, (4, 5))
-        out = apply_affine(img, affine_translation(5.0, 0.0), (5, 4), fill=0.0)
+        out = apply_affine(img, similarity(0.0, shift=(5.0, 0.0)), (5, 4),
+                           fill=0.0)
         assert np.all(out == 0.0)
 
     def test_inverse_roundtrip_interior(self):
         # smooth field: bilinear error stays within the codec quantum
         gx, gy = np.meshgrid(np.arange(16), np.arange(16))
         img = 0.5 + 0.2 * np.sin(2 * np.pi * gx / 20) * np.cos(2 * np.pi * gy / 20)
-        t = affine_compose(affine_rotation(0.3, center=(8, 8)),
-                           affine_translation(0.7, -0.4))
+        # a translation by (0.7, -0.4), then a rotation about (8, 8)
+        t = similarity(0.3, shift=(8.0, 8.0), center=(7.3, 8.4))
         back = apply_affine(apply_affine(img, t, (16, 16)),
                             affine_invert(t), (16, 16))
         assert np.abs(back[5:11, 5:11] - img[5:11, 5:11]).max() <= 2.0 / 255.0
@@ -117,9 +120,9 @@ class TestAffine:
         rng = np.random.default_rng(7)
         img = rng.uniform(0, 1, (40, 56))
         fill = 0.7
-        t = affine_compose(affine_translation(4.3, 3.1), affine_compose(
-            affine_rotation(0.35, center=(28.0, 20.0)),
-            np.array([[0.9, 0.0, 0.0], [0.0, 0.6, 0.0]])))
+        # scale (0.9, 0.6), rotate about (28, 20), translate by (4.3, 3.1)
+        t = similarity(0.35, shift=(32.3, 23.1), center=(28.0, 20.0))
+        t[:, :2] = t[:, :2] @ np.diag([0.9, 0.6])
         out = apply_affine(img, t, (50, 30), fill=fill)
         assert out.shape == (30, 50)
         inv = affine_invert(t)

@@ -5,12 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weakseg.imgcore import affine_compose, affine_rotation, affine_scaling, \
-    affine_translation
 from weakseg.recist import (DegenerateAnnotationError, Ellipse,
                             RecistAnnotation, constrained_region, fit_ellipse,
                             pixel_box, rasterize_ellipse, read_annotation_csv,
                             transform_annotation, write_annotation_csv)
+
+
+def similarity(theta, scale=1.0, shift=(0.0, 0.0), center=(0.0, 0.0)):
+    """The 2x3 affine x -> scale R(theta) (x - center) + shift."""
+    c, s = np.cos(theta), np.sin(theta)
+    lin = scale * np.array([[c, -s], [s, c]])
+    return np.column_stack([lin, np.subtract(shift, lin @ center)])
 
 
 def axis_aligned_ann():
@@ -24,7 +29,7 @@ class TestFitEllipse:
         assert e.a == 5.0 and e.b == 3.0 and e.theta == 0.0
 
     def test_rotated_30_degrees(self):
-        t = affine_rotation(np.pi / 6)
+        t = similarity(np.pi / 6)
         e = fit_ellipse(transform_annotation(axis_aligned_ann(), t))
         assert abs(e.a - 5.0) < 1e-9
         assert abs(e.b - 3.0) < 1e-9
@@ -52,9 +57,7 @@ class TestFitEllipse:
                                tuple(c - half_long * u),
                                tuple(c + ratio * half_long * w),
                                tuple(c - ratio * half_long * w))
-        t = affine_compose(affine_translation(tx, ty),
-                           affine_compose(affine_rotation(alpha),
-                                          affine_scaling(s)))
+        t = similarity(alpha, s, (tx, ty))
         e = fit_ellipse(ann)
         e_then = fit_ellipse(transform_annotation(ann, t))
         center_mapped = np.array(e.center) @ t[:, :2].T + t[:, 2]
@@ -179,10 +182,8 @@ class TestConstrainedRegion:
         ann = RecistAnnotation((40, 32), (24, 32), (32, 38), (32, 26))
         rng = np.random.default_rng(1)
         for _ in range(15):
-            t = affine_rotation(rng.uniform(0, np.pi), center=(32, 32))
-            s = rng.uniform(0.8, 1.1)
-            t[:, :2] *= s
-            t[:, 2] = t[:, 2] * s + (1 - s) * 32
+            t = similarity(rng.uniform(0, np.pi), rng.uniform(0.8, 1.1),
+                           (32, 32), (32, 32))
             mapped = transform_annotation(ann, t)
             e = fit_ellipse(mapped)
             ratio = constrained_region(e, (64, 64)).sum() \
@@ -197,13 +198,12 @@ class TestTransformAnnotation:
         assert np.allclose(out.endpoints(), ann.endpoints())
 
     def test_rotation_90(self):
-        out = transform_annotation(axis_aligned_ann(),
-                                   affine_rotation(np.pi / 2))
+        out = transform_annotation(axis_aligned_ann(), similarity(np.pi / 2))
         assert np.allclose(out.endpoints(),
                            [(0, 5), (0, -5), (-3, 0), (3, 0)], atol=1e-12)
 
     def test_uniform_scale_doubles_axes(self):
-        out = transform_annotation(axis_aligned_ann(), affine_scaling(2.0))
+        out = transform_annotation(axis_aligned_ann(), similarity(0.0, 2.0))
         e = fit_ellipse(out)
         assert abs(e.a - 10.0) < 1e-12 and abs(e.b - 6.0) < 1e-12
         assert e.theta == 0.0
@@ -226,6 +226,7 @@ def test_annotation_csv_roundtrip():
     text = write_annotation_csv(rows)
     back = read_annotation_csv(text)
     assert [sid for sid, _ in back] == ["000", "001"]
+    assert read_annotation_csv(text.replace("\n", "\n\n")) == back
     for (_, a), (_, b) in zip(rows, back):
         assert np.allclose(a.endpoints(), b.endpoints())
 

@@ -11,8 +11,8 @@ from weakseg.imgcore import BG, FG, IGNORE
 from weakseg.losses import DegenerateRegionError, rls_loss, seg_loss
 from weakseg.model import ArchConfig, adam_init, adam_step, backward, \
     forward, init_params
-from weakseg.recist import rasterize_ellipse
-from weakseg.synthgen import SynthConfig, gen_dataset
+from weakseg.recist import RecistAnnotation, rasterize_ellipse
+from weakseg.synthgen import Sample, SynthConfig, gen_dataset
 from weakseg.weaktrain import (TrainConfig, augment, make_pseudo_masks,
                                predict, train_config_from_json, train_rounds,
                                train_schedule, update_pseudo_mask)
@@ -237,6 +237,22 @@ class TestAugment:
             e = rasterize_ellipse(out.ellipse, out.pseudo.shape[::-1])
             assert skipped or np.array_equal(out.pseudo, np.where(e, FG, BG))
 
+
+    def test_ellipse_missing_every_pixel_is_skipped(self):
+        # a 0.2 x 0.1 px ellipse at (8, 8) shrinks to 1/4 on a 4 x 4 grid,
+        # where no draw puts a pixel centre inside it: every draw is redrawn
+        # and the sample comes back as it was
+        ann = RecistAnnotation((7.9, 8.0), (8.1, 8.0), (8.0, 7.95),
+                               (8.0, 8.05))
+        s = Sample.from_annotation(np.full((16, 16), 0.5), ann,
+                                   sample_id="dot")
+        out, skipped = augment(s, np.random.default_rng(0), (4, 4))
+        assert skipped and out is s
+        _, history = train_schedule([s], tiny_config(
+            epochs=3, augment=True, long_side=(4, 4)))
+        assert history.augment_skips == 3
+        assert all(r.mean_seg_loss == r.mean_rls_loss == 0.0
+                   for r in history.records)
 
     def test_ellipse_centred_on_grid(self):
         # the translation puts the annotation centroid, which is the fitted
