@@ -37,6 +37,15 @@ def validate_gray(img: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # PGM codec (P2 plain / P5 binary, maxval <= 255)
 
+_SHOWN = 20  # an error message repeats at most this many bytes of a token
+
+
+def _cut(tok: bytes) -> str:
+    """The marker an error message puts after a token's first _SHOWN bytes
+    when it cuts the token there, or ''."""
+    return f"... ({len(tok)} bytes)" if len(tok) > _SHOWN else ""
+
+
 def _next_token(data: bytes, pos: int):
     """Skip whitespace/comments, return (token, position after token)."""
     n = len(data)
@@ -72,7 +81,8 @@ def decode_pgm(data: bytes) -> np.ndarray:
                 raise ValueError
             header.append(int(tok))  # ValueError past int()'s digit limit
         except ValueError:
-            raise DecodeError(f"non-numeric header token {tok!r} at byte {pos}")
+            raise DecodeError(f"non-numeric header token {tok[:_SHOWN]!r}"
+                              f"{_cut(tok)} at byte {pos}")
     width, height, maxval = header
     if width < 1 or height < 1:
         raise DecodeError(f"bad dimensions {width}x{height}")
@@ -93,13 +103,14 @@ def decode_pgm(data: bytes) -> np.ndarray:
         for i in range(n):
             tok, pos = _next_token(data, pos)
             if not tok.isdigit():
-                raise DecodeError(f"non-numeric sample {tok!r} at byte {pos}")
+                raise DecodeError(f"non-numeric sample {tok[:_SHOWN]!r}"
+                                  f"{_cut(tok)} at byte {pos}")
             # more than 3 significant digits exceed maxval <= 255, and int()
             # would fail past its digit limit
             digits = tok.lstrip(b"0") or b"0"
             if len(digits) > 3 or int(digits) > maxval:
-                raise DecodeError(f"sample {tok.decode()} out of range at "
-                                  f"byte {pos}")
+                raise DecodeError(f"sample {tok[:_SHOWN].decode()}"
+                                  f"{_cut(tok)} out of range at byte {pos}")
             values[i] = int(digits)
     if values.max(initial=0) > maxval:
         raise DecodeError(f"sample exceeds maxval {maxval}")

@@ -16,6 +16,14 @@ iterations in which no pixel changed sign (phi away from the contour keeps
 drifting long after the mask is fixed), or at the ``iters`` cap. A window
 of 20 stops the acceptance suite's noisy disk on the mask of a run to the
 cap, where 10 leaves it 4 pixels short.
+
+``smooth_heaviside``, ``smooth_delta`` and ``cv_energy`` compute in the float
+dtype of their inputs (other inputs become float64), so float64 callers such
+as the RLS cross-check keep float64 arithmetic. ``cv_evolve`` holds the
+image, phi, its gradients and its scratch in float32: an energy evaluation
+is some 40 memory-bound passes over the grid, and on synthetic lesions the
+float32 masks equal float64 ones but for rare single pixels. Its trace
+energies are sums of float32 terms.
 """
 
 from __future__ import annotations
@@ -60,18 +68,24 @@ class CvConfig:
             raise ValueError(f"iters must be >= 1, got {self.iters}")
 
 
+def _as_float(a):
+    """``a`` as an array of its own float dtype, or float64 if not float."""
+    a = np.asarray(a)
+    return a if a.dtype.kind == "f" else a.astype(np.float64)
+
+
 def smooth_heaviside(z, eps: float = 1.0, out=None):
     """Smoothed step H_eps(z) = 0.5 * (1 + (2/pi) * atan(z / eps))."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    t = np.divide(np.asarray(z, dtype=np.float64), eps, out=out)
+    t = np.divide(_as_float(z), eps, out=out)
     t = np.multiply(2.0 / np.pi, np.arctan(t, out=out), out=out)
     return np.multiply(0.5, np.add(1.0, t, out=out), out=out)
 
 
 def smooth_delta(z, eps: float = 1.0, out=None):
     """Derivative of smooth_heaviside: (1/pi) * eps / (eps^2 + z^2)."""
-    z = np.asarray(z, dtype=np.float64)
+    z = _as_float(z)
     t = np.add(eps * eps, np.multiply(z, z, out=out), out=out)
     return np.divide(eps / np.pi, t, out=out)
 
@@ -100,13 +114,14 @@ def _central_diff(out, a, axis, sign):
 def cv_energy(phi, img, cfg: CvConfig, grad=None, work=None) -> float:
     """Evaluate the Chan-Vese energy of a level set field. When ``grad`` (an
     array of phi's shape) is given, dE/dphi is written into it. ``work`` is an
-    optional (_N_WORK, *img.shape) float64 scratch array for every
-    intermediate; without it a fresh one is allocated."""
-    phi = np.asarray(phi, dtype=np.float64)
-    v = np.asarray(img, dtype=np.float64)
+    optional (_N_WORK, *img.shape) scratch array for every intermediate;
+    without it a fresh one of phi's and img's common float dtype is
+    allocated."""
+    phi, v = _as_float(phi), _as_float(img)
     if phi.shape != v.shape:
         raise ValueError("level set and image shapes must match")
-    work = np.empty((_N_WORK,) + v.shape) if work is None else work
+    if work is None:
+        work = np.empty((_N_WORK,) + v.shape, dtype=np.result_type(phi, v))
     h, g, r1, r2, t1, t2 = work
     smooth_heaviside(phi, cfg.eps, out=h)
     energy = data_term(h, v, cfg.lambda1, cfg.lambda2, grad, work[1:5])
@@ -145,7 +160,7 @@ def cv_evolve(img: np.ndarray, init: np.ndarray, cfg: CvConfig = CvConfig()):
     mask unchanged, when no tried step decreases the energy, or after
     ``cfg.iters`` iterations.
     """
-    v = np.asarray(img, dtype=np.float64)
+    v = np.asarray(img, dtype=np.float32)  # the working precision
     m = np.asarray(init, dtype=bool)
     if m.shape != v.shape:
         raise ValueError("init mask and image shapes must match")
@@ -155,8 +170,9 @@ def cv_evolve(img: np.ndarray, init: np.ndarray, cfg: CvConfig = CvConfig()):
     # the region means separate immediately (a +-1 init leaves them nearly
     # equal under the smoothed Heaviside and the descent stalls)
     phi = distance_transform_edt(m) - distance_transform_edt(~m)
+    phi = phi.astype(v.dtype)
     cand, grad, g_new = (np.empty_like(phi) for _ in range(3))
-    work = np.empty((_N_WORK,) + v.shape)
+    work = np.empty((_N_WORK,) + v.shape, dtype=v.dtype)
     inside, spare = np.greater_equal(phi, 0.0), np.empty(v.shape, dtype=bool)
     warning, trace, settled = False, [], 0
     try:

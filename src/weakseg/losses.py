@@ -93,8 +93,12 @@ def data_term(h: np.ndarray, v: np.ndarray, lambda1: float, lambda2: float,
     """Chan-Vese region data term sum [l1 (v-c1)^2 h + l2 (v-c2)^2 (1-h)] of
     same-shape weights h and image v, c1 and c2 the h- and (1-h)-weighted
     means of v; returns the value. ``grad`` (optional) receives
-    l1 (v-c1)^2 - l2 (v-c2)^2; ``work`` is optional (4, *h.shape) scratch."""
-    g, r1, r2, t = np.empty((4,) + h.shape) if work is None else work
+    l1 (v-c1)^2 - l2 (v-c2)^2; ``work`` is optional (4, *h.shape) scratch.
+    The arithmetic runs in h's and v's common float dtype, so float32 inputs
+    and scratch stay float32 (the sums too) and float64 ones float64."""
+    if work is None:
+        work = np.empty((4,) + h.shape, dtype=np.result_type(h, v))
+    g, r1, r2, t = work
     np.subtract(1.0, h, out=g)
     w1, w2 = float(h.sum()), float(g.sum())
     if w1 <= 1e-12 or w2 <= 1e-12:

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ from weakseg import levelset
 from weakseg.levelset import (CvConfig, cv_energy, cv_evolve, smooth_delta,
                               smooth_heaviside)
 from weakseg.losses import (RLS_LAMBDA1, RLS_LAMBDA2, DegenerateRegionError,
-                            finite_diff_check, rls_loss)
+                            data_term, finite_diff_check, rls_loss)
 from scipy.ndimage import distance_transform_edt
 from weakseg.metrics import prf_dice
 from weakseg.recist import Ellipse, rasterize_ellipse
@@ -125,6 +126,61 @@ class TestEnergyGradient:
             cv_energy(np.full_like(img, 1e9), img, CvConfig(eps=1e-6), grad=grad)
 
 
+class TestDtypes:
+    """The energy and the data term compute in their inputs' float dtype."""
+
+    @staticmethod
+    def problem():
+        rng = np.random.default_rng(25)
+        img, phi = rng.uniform(0, 1, (16, 16)), rng.uniform(-3, 3, (16, 16))
+        p = rng.uniform(0.05, 0.95, (16, 16))
+        region = rng.uniform(0, 1, (16, 16)) < 0.7
+        cfg = CvConfig(mu=0.2, nu=0.1, lambda1=1.0, lambda2=2.0, eps=0.5)
+        return img, phi, p, region, cfg
+
+    @staticmethod
+    def evaluate(img, phi, p, region, cfg, work=None):
+        """(value, grad) of cv_energy, data_term and rls_loss."""
+        g_cv, g_dt = np.empty_like(phi), np.empty_like(p)
+        e = cv_energy(phi, img, cfg, grad=g_cv,
+                      work=None if work is None else work[0])
+        d = data_term(p, img, 1.0, 3.0, g_dt,
+                      None if work is None else work[1])
+        return [(e, g_cv), (d, g_dt), tuple(rls_loss(p, img, region))]
+
+    def test_float64_bytes_as_recorded(self):
+        # recorded when every one of these cast its inputs to float64
+        # (numpy 2.4, x86-64): float64 callers keep that arithmetic
+        want = ["f61dec1ffeafbf31", "41814225db4cb14b", "6ef5cfec4df3bb23"]
+        got = [hashlib.sha256(np.float64(value).tobytes()
+                              + grad.tobytes()).hexdigest()[:16]
+               for value, grad in self.evaluate(*self.problem())]
+        assert got == want
+
+    def test_float32_stays_float32(self):
+        img, phi, p, region, cfg = self.problem()
+        img, phi, p = (a.astype(np.float32) for a in (img, phi, p))
+        got = self.evaluate(img, phi, p, region, cfg)
+        # the default scratch is float32: explicit float32 work gives the
+        # same bytes
+        work = (np.empty((levelset._N_WORK, 16, 16), np.float32),
+                np.empty((4, 16, 16), np.float32))
+        again = self.evaluate(img, phi, p, region, cfg, work)
+        assert smooth_heaviside(phi).dtype == np.float32
+        assert smooth_delta(phi).dtype == np.float32
+        for (value, grad), (v2, g2) in zip(got[:2], again[:2]):
+            assert value == v2 and grad.tobytes() == g2.tobytes()
+        # a float32 result is within a few float32 roundings per term of
+        # the float64 one
+        tol = 64 * np.finfo(np.float32).eps
+        for (value, grad), (v64, g64) in zip(got[:2],
+                                             self.evaluate(*self.problem())):
+            assert abs(value - v64) <= tol * abs(v64)
+            assert np.abs(grad - g64).max() <= tol * np.abs(g64).max()
+        # the training loss keeps float64 whatever it is given
+        assert got[2][1].dtype == np.float64
+
+
 # Reference: the solver as it was before the energy and gradient were fused
 # (np.roll shifts, two evaluations per accepted step), with the settle rule
 # as its stop, on the same ``levelset.SETTLE``. The fused solver must
@@ -154,17 +210,14 @@ def _ref_length_and_grad_h(h: np.ndarray):
 
 
 def _ref_heaviside(z, eps):
-    return 0.5 * (1.0 + (2.0 / np.pi) * np.arctan(np.asarray(z, dtype=np.float64) / eps))
+    return 0.5 * (1.0 + (2.0 / np.pi) * np.arctan(z / eps))
 
 
 def _ref_delta(z, eps):
-    z = np.asarray(z, dtype=np.float64)
     return (eps / np.pi) / (eps * eps + z * z)
 
 
-def _ref_cv_energy(phi, img, cfg):
-    phi = np.asarray(phi, dtype=np.float64)
-    v = np.asarray(img, dtype=np.float64)
+def _ref_cv_energy(phi, v, cfg):
     h = _ref_heaviside(phi, cfg.eps)
     c1, c2 = _ref_weighted_means(v, h)
     energy = float((cfg.lambda1 * (v - c1) ** 2 * h
@@ -193,10 +246,12 @@ def _ref_energy_and_grad(phi, v, cfg):
     return energy, grad_h * _ref_delta(phi, cfg.eps)
 
 
-def _ref_cv_evolve(img, init, cfg):
-    v = np.asarray(img, dtype=np.float64)
+def _ref_cv_evolve(img, init, cfg, dtype=np.float32):
+    """The reference solve in ``dtype``, by default cv_evolve's float32."""
+    v = np.asarray(img, dtype=dtype)
     m = np.asarray(init, dtype=bool)
     phi = distance_transform_edt(m) - distance_transform_edt(~m)
+    phi = phi.astype(dtype)
     warning = False
     trace = []
     settled = 0
@@ -244,9 +299,12 @@ class TestFusedSolverOracle:
         ((64, 64), {"mu": 0.0}, False),
         ((64, 64), {"step": 2000.0}, True),
         # the rule cannot fire here, so the run reaches the late iterations
-        # where the line search backtracks
-        ((24, 40), {"settle": 501}, True),
+        # where the line search backtracks; at (24, 40) it never does in
+        # float32, where late candidates often leave the energy's bits as
+        # they were
+        ((40, 24), {"settle": 501}, True),
         ((40, 24), {"mu": 0.3, "nu": 0.2, "step": 300.0}, False),
+        ((24, 40), {"settle": 501}, False),
     ])
     def test_bytes_equal_reference(self, monkeypatch, shape, kw, backtracks):
         img, init = self.lesion(shape)
@@ -295,6 +353,16 @@ def synth_lesion_128():
     samples, _ = gen_dataset(SynthConfig(size=128, seed=11), 1)
     s = samples[0]
     return s.image, rasterize_ellipse(s.ellipse, (128, 128)), s.gt_mask
+
+
+@pytest.mark.parametrize("problem", [noisy_disk, synth_lesion_128])
+def test_float32_solve_masks_equal_the_float64_reference(problem):
+    img, init, _ = problem()
+    mask, trace, warning = cv_evolve(img, init, CvConfig())
+    ref_mask, ref_trace, ref_warning = _ref_cv_evolve(img, init, CvConfig(),
+                                                      np.float64)
+    assert not warning and not ref_warning
+    assert np.array_equal(mask, ref_mask) and len(trace) == len(ref_trace)
 
 
 def evolve_settled(img, init, cfg, settle):
