@@ -165,7 +165,26 @@ def cmd_train(args) -> int:
     out = _make_out(args.out)
     dataset = [Sample.from_annotation(r.image, r.annotation, r.gt_mask,
                                       r.sample_id) for r in records]
-    params, histories = weaktrain.train_rounds(dataset, cfg)
+    histories = []
+    try:
+        # each round's history, then its model, as the round ends; the model
+        # is renamed into place, so model.bin is always a whole file
+        for params, history, _ in weaktrain.train_rounds(dataset, cfg):
+            histories.append(history)
+            (out / f"history_round{len(histories)}.csv").write_text(
+                history.to_csv())
+            save_model(out / "model.bin.tmp", params, cfg.arch)
+            os.replace(out / "model.bin.tmp", out / "model.bin")
+    except FloatingPointError as exc:
+        done = len(histories)
+        raise DataError(f"round {done + 1} of {cfg.rounds} failed: {exc}; "
+                        + (f"{out} holds round {done}, the last that finished"
+                           if done else "no round finished")) from None
+    finally:
+        for old in out.glob("history_round*.csv"):  # left by a longer run
+            k = old.stem.removeprefix("history_round")
+            if k.isdecimal() and int(k) > len(histories):
+                old.unlink()
     skips = sum(h.rls_skips for h in histories)
     if skips:
         print(f"warning: dropped the RLS term of {skips} training step(s) "
@@ -174,13 +193,6 @@ def cmd_train(args) -> int:
     if skips:
         print(f"warning: skipped {skips} training step(s) whose 10 "
               "augmentation draws all failed", file=sys.stderr)
-    save_model(out / "model.bin", params, cfg.arch)
-    for i, hist in enumerate(histories, start=1):
-        (out / f"history_round{i}.csv").write_text(hist.to_csv())
-    for old in out.glob("history_round*.csv"):  # left by a longer run
-        k = old.stem.removeprefix("history_round")
-        if k.isdecimal() and int(k) > len(histories):
-            old.unlink()
     print(f"trained {len(histories)} round(s); model at {out / 'model.bin'}")
     return 0
 
@@ -338,14 +350,13 @@ def cmd_gradcheck(args) -> int:
         "cv": finite_diff_check(cv, phi0),
         "model+losses": model_gradcheck(args.seed),
     }
-    bad = False
+    # the finite differences err by about 1e-8 of the gradient's scale at
+    # most on these inputs (losses.finite_diff_check), well inside the limit
+    limit = 1e-6
     for name, err in errs.items():
-        limit = 1e-3 if name == "model+losses" else 1e-4
-        ok = err < limit
-        bad |= not ok
         print(f"{name}: max rel err {err:.3e} "
-              f"({'OK' if ok else f'FAIL, limit {limit:g}'})")
-    return 2 if bad else 0
+              f"({'OK' if err < limit else f'FAIL, limit {limit:g}'})")
+    return 0 if max(errs.values()) < limit else 2
 
 
 def model_gradcheck(seed: int) -> float:

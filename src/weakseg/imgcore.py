@@ -40,10 +40,11 @@ def validate_gray(img: np.ndarray) -> np.ndarray:
 _SHOWN = 20  # an error message repeats at most this many bytes of a token
 
 
-def _cut(tok: bytes) -> str:
+def _cut(tok) -> str:
     """The marker an error message puts after a token's first _SHOWN bytes
-    when it cuts the token there, or ''."""
-    return f"... ({len(tok)} bytes)" if len(tok) > _SHOWN else ""
+    (characters, of a str) when it cuts the token there, or ''."""
+    unit = "characters" if isinstance(tok, str) else "bytes"
+    return f"... ({len(tok)} {unit})" if len(tok) > _SHOWN else ""
 
 
 def _next_token(data: bytes, pos: int):

@@ -150,17 +150,21 @@ def seg_loss(preds, masks):
 
 
 def finite_diff_check(fn, point: np.ndarray, h: float = 1e-5) -> float:
-    """Compare fn's analytic gradient against central finite differences.
+    """Compare fn's analytic gradient g against central finite differences d.
 
-    fn(x) must return (value, grad). Returns the max over coordinates of
-    |fd - analytic| / max(1e-8, |analytic|).
+    fn(x) must return (value, grad). Returns max_i |d_i - g_i| over the
+    larger of max_i |g_i| and max_i |d_i|: the error against the gradient's
+    scale, not against each coordinate. d_i errs by at most
+    h^2 |f'''| / 6 (truncation) plus e / h (round-off), e the rounding error
+    of one evaluation of fn. e belongs to the whole evaluation, not to a
+    coordinate, so a coordinate whose gradient is near zero errs by as much
+    as any other, and only a scale common to all coordinates bounds it.
     """
     x = np.array(point, dtype=np.float64)
     _, grad = fn(x)
-    grad = np.asarray(grad, dtype=np.float64)
-    worst = 0.0
+    grad = np.array(grad, dtype=np.float64).reshape(-1)
     flat = x.reshape(-1)
-    gflat = grad.reshape(-1)
+    fd = np.empty_like(grad)
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + h
@@ -168,7 +172,6 @@ def finite_diff_check(fn, point: np.ndarray, h: float = 1e-5) -> float:
         flat[i] = orig - h
         fm, _ = fn(x)
         flat[i] = orig
-        fd = (fp - fm) / (2.0 * h)
-        err = abs(fd - gflat[i]) / max(1e-8, abs(gflat[i]))
-        worst = max(worst, err)
-    return worst
+        fd[i] = (fp - fm) / (2.0 * h)
+    scale = max(np.abs(grad).max(), np.abs(fd).max())
+    return float(np.abs(fd - grad).max() / scale) if scale > 0 else 0.0

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .imgcore import _SHOWN, _cut
+
 REGION_AREA_FACTOR = 2.0  # semi-axis scale for the constrained region (area x4)
 
 
@@ -174,13 +176,19 @@ def read_annotation_csv(text: str) -> list[tuple[str, RecistAnnotation]]:
             if len(row) != 9:
                 raise ValueError(f"annotation row needs 9 fields, got {len(row)}")
             if row[0] in lines:
-                raise ValueError(f"image id {row[0]!r} repeats line "
+                raise ValueError(f"image id {row[0][:_SHOWN]!r}"
+                                 f"{_cut(row[0])} repeats line "
                                  f"{lines[row[0]]}")
             lines[row[0]] = reader.line_num
-            x = [float(v) for v in row[1:]]
-            for name, value in zip(_CSV_HEADER[1:], x):
-                if not math.isfinite(value):
-                    raise ValueError(f"{name} must be finite, got {value}")
+            x = []
+            for name, field in zip(_CSV_HEADER[1:], row[1:]):
+                try:
+                    x.append(float(field))
+                except ValueError:
+                    raise ValueError(f"{name} is not a number: "
+                                     f"{field[:_SHOWN]!r}{_cut(field)}")
+                if not math.isfinite(x[-1]):
+                    raise ValueError(f"{name} must be finite, got {x[-1]}")
             out.append((row[0], RecistAnnotation(
                 long_a=(x[0], x[1]), long_b=(x[2], x[3]),
                 short_a=(x[4], x[5]), short_b=(x[6], x[7]))))

@@ -327,26 +327,27 @@ def predict(image: np.ndarray, params, arch: ArchConfig,
     return p3
 
 
-def train_rounds(dataset, cfg: TrainConfig, on_round=None):
-    """The multi-round procedure: train from scratch on the ellipse pseudo
-    masks, then repeatedly re-infer, update pseudo masks, and retrain from
-    scratch. Returns (final params, per-round histories). ``on_round`` is
-    called with (round index, params) after each round's training."""
-    dataset = list(dataset)
-    histories = []
+def train_rounds(dataset, cfg: TrainConfig):
+    """The multi-round procedure, as a generator: train from scratch on the
+    ellipse pseudo masks, then repeatedly re-infer, update the pseudo masks
+    and retrain from scratch. Yields (params, history, samples) as each
+    round ends, samples being the list that round trained on. Each update
+    builds a new list, holding a sample itself where update_pseudo_mask
+    retains it and a copy with the updated pseudo mask otherwise, so a
+    yielded list never changes. The update runs when the next round is
+    asked for, so a caller that stops early trains no further round."""
+    samples = list(dataset)
     for rnd in range(cfg.rounds):
-        params, history = train_schedule(dataset, cfg)  # same init
-        histories.append(history)
-        if on_round is not None:
-            on_round(rnd, params)
-        if rnd == cfg.rounds - 1:
-            break
-        workspace = new_workspace()
-        for i, sample in enumerate(dataset):
-            p = predict(sample.image, params, cfg.arch, workspace)
-            emask = rasterize_ellipse(
-                sample.ellipse, (sample.image.shape[1], sample.image.shape[0]))
-            new_pseudo, retain = update_pseudo_mask(p, emask)
-            if not retain:
-                dataset[i] = replace(sample, pseudo=new_pseudo)
-    return params, histories
+        if rnd:
+            workspace = new_workspace()
+            updated = []
+            for sample in samples:
+                p = predict(sample.image, params, cfg.arch, workspace)
+                emask = rasterize_ellipse(sample.ellipse,
+                                          sample.image.shape[::-1])
+                new_pseudo, retain = update_pseudo_mask(p, emask)
+                updated.append(sample if retain
+                               else replace(sample, pseudo=new_pseudo))
+            samples = updated
+        params, history = train_schedule(samples, cfg)  # same init
+        yield params, history, samples

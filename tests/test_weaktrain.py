@@ -343,9 +343,9 @@ class TestTraining:
             if not retain and not np.array_equal(new_pseudo, s.pseudo):
                 changed += 1
         assert changed >= 1
-        _, histories = train_rounds(ds, cfg)
-        r1 = [r.mean_seg_loss for r in histories[0].records]
-        r2 = [r.mean_seg_loss for r in histories[1].records]
+        (_, h1, _), (_, h2, _) = train_rounds(ds, cfg)
+        r1 = [r.mean_seg_loss for r in h1.records]
+        r2 = [r.mean_seg_loss for r in h2.records]
         assert r1 != r2
 
     def test_stage2_continuity(self):
@@ -453,7 +453,7 @@ class TestTraining:
     def test_rounds_histories(self):
         ds = tiny_dataset()
         cfg = tiny_config(rounds=2)
-        params, histories = train_rounds(ds, cfg)
+        histories = [history for _, history, _ in train_rounds(ds, cfg)]
         assert len(histories) == 2
         assert len(histories[0].records) == cfg.epochs
 
@@ -465,20 +465,54 @@ class TestTraining:
         ds = tiny_dataset(n=6)
         cfg = tiny_config(rounds=3)
         want_params, want_history = train_schedule(ds, cfg)
-        real_schedule, calls, seen = weaktrain.train_schedule, [], []
+        real_schedule, calls = weaktrain.train_schedule, []
 
         def counting(*args):
             calls.append(args)
             return real_schedule(*args)
 
         monkeypatch.setattr(weaktrain, "train_schedule", counting)
-        params, histories = train_rounds(
-            ds, cfg, on_round=lambda rnd, p: seen.append((rnd, p.copy())))
+        rounds = list(train_rounds(ds, cfg))
         assert len(calls) == 3
-        assert [rnd for rnd, _ in seen] == [0, 1, 2]
-        for p in [params] + [p for _, p in seen]:
+        assert len(rounds) == 3
+        for p, _, _ in rounds:
             assert p.tobytes() == want_params.tobytes()
-        assert [h.to_csv() for h in histories] == [want_history.to_csv()] * 3
+        assert [h.to_csv() for _, h, _ in rounds] \
+            == [want_history.to_csv()] * 3
+
+    def test_rounds_yield_new_lists(self, monkeypatch):
+        # the update retains each round's first sample and gives the others
+        # a mask of its own; a round's list stays as it was yielded while
+        # the later rounds augment and train on the masks it left
+        ds = tiny_dataset(n=3)
+        cfg = tiny_config(rounds=3, augment=True, long_side=(24, 32))
+        given = []
+
+        def update(p, emask):
+            given.append(np.where(emask, FG, IGNORE).astype(np.int8))
+            return given[-1], len(given) % len(ds) == 1
+
+        monkeypatch.setattr(weaktrain, "update_pseudo_mask", update)
+        rounds = train_rounds(ds, cfg)
+        _, _, first = next(rounds)
+        assert given == []  # round 2's update waits until it is asked for
+        assert all(a is b for a, b in zip(first, ds, strict=True))
+        kept = [(s, s.image.tobytes(), s.pseudo.tobytes(),
+                 s.region.tobytes()) for s in first]
+        later = [samples for _, _, samples in rounds]
+        assert len(later) == 2 and len(given) == 2 * len(ds)
+        for (s, image, pseudo, region), now in zip(kept, first, strict=True):
+            assert now is s
+            assert (s.image.tobytes(), s.pseudo.tobytes(),
+                    s.region.tobytes()) == (image, pseudo, region)
+        for prev, now, masks in zip([first] + later, later,
+                                    (given[:3], given[3:])):
+            assert now is not prev
+            assert now[0] is prev[0]
+            for old, new, mask in zip(prev[1:], now[1:], masks[1:],
+                                      strict=True):
+                assert new is not old and new.image is old.image
+                assert np.array_equal(new.pseudo, mask)
 
     def test_history_csv(self):
         ds = tiny_dataset(n=2)
