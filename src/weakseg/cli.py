@@ -165,26 +165,25 @@ def cmd_train(args) -> int:
     out = _make_out(args.out)
     dataset = [Sample.from_annotation(r.image, r.annotation, r.gt_mask,
                                       r.sample_id) for r in records]
-    histories = []
+    histories, failed, tmp = [], None, out / "model.bin.tmp"
     try:
-        # each round's history, then its model, as the round ends; the model
-        # is renamed into place, so model.bin is always a whole file
+        # each round's model and history as the round ends; the model is
+        # renamed into place, so model.bin is always a whole file, and the
+        # histories past this round, left by a longer run, go at once
         for params, history, _ in weaktrain.train_rounds(dataset, cfg):
+            k = len(histories) + 1
+            save_model(tmp, params, cfg.arch)
+            (out / f"history_round{k}.csv").write_text(history.to_csv())
+            os.replace(tmp, out / "model.bin")
             histories.append(history)
-            (out / f"history_round{len(histories)}.csv").write_text(
-                history.to_csv())
-            save_model(out / "model.bin.tmp", params, cfg.arch)
-            os.replace(out / "model.bin.tmp", out / "model.bin")
+            for old in out.glob("history_round*.csv"):
+                n = old.stem.removeprefix("history_round")
+                if n.isdecimal() and int(n) > k:
+                    old.unlink()
     except FloatingPointError as exc:
-        done = len(histories)
-        raise DataError(f"round {done + 1} of {cfg.rounds} failed: {exc}; "
-                        + (f"{out} holds round {done}, the last that finished"
-                           if done else "no round finished")) from None
+        failed = exc
     finally:
-        for old in out.glob("history_round*.csv"):  # left by a longer run
-            k = old.stem.removeprefix("history_round")
-            if k.isdecimal() and int(k) > len(histories):
-                old.unlink()
+        tmp.unlink(missing_ok=True)
     skips = sum(h.rls_skips for h in histories)
     if skips:
         print(f"warning: dropped the RLS term of {skips} training step(s) "
@@ -193,6 +192,11 @@ def cmd_train(args) -> int:
     if skips:
         print(f"warning: skipped {skips} training step(s) whose 10 "
               "augmentation draws all failed", file=sys.stderr)
+    if failed is not None:
+        done = len(histories)
+        raise DataError(f"round {done + 1} of {cfg.rounds} failed: {failed}; "
+                        + (f"{out} holds round {done}, the last that finished"
+                           if done else "no round finished"))
     print(f"trained {len(histories)} round(s); model at {out / 'model.bin'}")
     return 0
 

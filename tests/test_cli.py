@@ -380,8 +380,10 @@ class TestTrainEval:
     def test_failed_round_keeps_the_finished_rounds(self, dataset_dir,
                                                      tmp_path, monkeypatch,
                                                      capsys, failed):
-        # round 2 of 3 fails: the run holds round 1 as a 1-round run writes
-        # it, and a history left by an earlier, longer run is gone
+        # round `failed` of 3 fails in a run directory an earlier 3-round run
+        # used. Round 2 failing: the run holds round 1 as a 1-round run writes
+        # it, the earlier run's later history is gone, and round 1's skip
+        # warning comes before the error. Round 1 failing: nothing changes.
         cfg_file = tmp_path / "cfg.json"
         cfg = {"epochs": 2, "stage2_start": 1, "decay_epochs": [],
                "rounds": 1, "augment": False, "arch": {"channels": 2}}
@@ -396,24 +398,49 @@ class TestTrainEval:
             calls.append(args)
             if len(calls) == failed:
                 raise FloatingPointError("non-finite loss on sample '001'")
-            return real(*args)
+            params, history = real(*args)
+            history.rls_skips = 1
+            return params, history
 
         monkeypatch.setattr(weaktrain, "train_schedule", fails)
         out = tmp_path / "run"
         out.mkdir()
-        (out / "history_round3.csv").write_text("from a longer run")
+        earlier = {"history_round1.csv": b"earlier 1", "model.bin": b"earlier",
+                   "history_round3.csv": b"earlier 3"}
+        for name, data in earlier.items():
+            (out / name).write_bytes(data)
         capsys.readouterr()
         assert run("train", "--data", str(dataset_dir), "--config",
                    str(cfg_file), "--out", str(out)) == 2
-        done = (f"{out} holds round 1, the last that finished" if failed == 2
-                else "no round finished")
-        assert capsys.readouterr().err == (
-            f"error: round {failed} of 3 failed: non-finite loss on sample "
-            f"'001'; {done}\n")
-        kept = ["history_round1.csv", "model.bin"][:2 * (failed - 1)]
-        assert sorted(f.name for f in out.iterdir()) == kept
-        for name in kept:
-            assert (out / name).read_bytes() == (one / name).read_bytes()
+        if failed == 2:
+            done = (f"warning: dropped the RLS term of 1 training step(s) "
+                    f"with a degenerate region\n"
+                    f"error: round 2 of 3 failed: non-finite loss on sample "
+                    f"'001'; {out} holds round 1, the last that finished\n")
+            want = {name: (one / name).read_bytes()
+                    for name in ["history_round1.csv", "model.bin"]}
+        else:
+            done = ("error: round 1 of 3 failed: non-finite loss on sample "
+                    "'001'; no round finished\n")
+            want = earlier
+        assert capsys.readouterr().err == done
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == want
+
+    def test_failed_model_write_leaves_no_temporary(self, dataset_dir,
+                                                    tmp_path, monkeypatch):
+        def full_disk(path, *args):
+            Path(path).write_bytes(b"part")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "save_model", full_disk)
+        out = tmp_path / "run"
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({
+            "epochs": 1, "stage2_start": 1, "decay_epochs": [], "rounds": 1,
+            "augment": False, "arch": {"channels": 2}}))
+        assert run("train", "--data", str(dataset_dir), "--config",
+                   str(cfg_file), "--out", str(out)) == 2
+        assert list(out.iterdir()) == []
 
     def test_eval_pred_dir(self, dataset_dir, tmp_path):
         pred = tmp_path / "pred"

@@ -94,7 +94,7 @@ class TestEnergyGradient:
             grad = np.empty_like(x)
             return cv_energy(x, img, cfg, grad=grad), grad
 
-        assert finite_diff_check(fn, phi) < 1e-5
+        assert finite_diff_check(fn, phi) < 1e-6
 
     def test_reused_work_matches_fresh(self):
         img, phi, cfg = self.problem((6, 9))

@@ -56,7 +56,7 @@ class TestBce:
         rng = np.random.default_rng(0)
         p = rng.uniform(0.05, 0.95, (8, 8))
         g = rng.integers(0, 3, (8, 8)).astype(np.int8)
-        assert finite_diff_check(lambda x: bce_loss(x, g), p) < 1e-4
+        assert finite_diff_check(lambda x: bce_loss(x, g), p) < 1e-6
 
 
 class TestIou:
@@ -89,7 +89,7 @@ class TestIou:
         rng = np.random.default_rng(1)
         p = rng.uniform(0.05, 0.95, (8, 8))
         g = rng.integers(0, 3, (8, 8)).astype(np.int8)
-        assert finite_diff_check(lambda x: iou_loss(x, g), p) < 1e-4
+        assert finite_diff_check(lambda x: iou_loss(x, g), p) < 1e-6
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -221,7 +221,7 @@ class TestRls:
                             - RLS_LAMBDA2 * d2[region]) / n
             return val, grad
 
-        assert finite_diff_check(fn, p0) < 1e-4
+        assert finite_diff_check(fn, p0) < 1e-6
 
     def test_finite_differences_through_means(self):
         # the region means are weighted least-squares minimizers, so
@@ -231,7 +231,7 @@ class TestRls:
         p0 = rng.uniform(0.05, 0.95, (8, 8))
         region = rng.uniform(0, 1, (8, 8)) < 0.7
         region[0, :2] = True
-        assert finite_diff_check(lambda x: rls_loss(x, img, region), p0) < 1e-4
+        assert finite_diff_check(lambda x: rls_loss(x, img, region), p0) < 1e-6
 
     def test_nonnegative(self):
         rng = np.random.default_rng(7)

@@ -289,7 +289,7 @@ class TestScaleAttention:
                 [da.reshape(-1), db.reshape(-1)])
 
         x0 = np.concatenate([f1.reshape(-1), f2.reshape(-1)])
-        assert finite_diff_check(fn, x0) < 1e-3
+        assert finite_diff_check(fn, x0) < 1e-6
 
 
 class TestBackward:
@@ -363,7 +363,7 @@ class TestBackward:
         assert abs(np.vdot(lin, dout) - np.vdot(x, dx)) <= 1e-12 * scale
 
     def test_whole_model_gradcheck(self):
-        assert model_gradcheck(0) < 1e-3
+        assert model_gradcheck(0) < 1e-6
 
     def test_grad_shape_mismatch(self):
         cfg = ArchConfig(channels=4)
