@@ -10,14 +10,13 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from . import metrics, recist, weaktrain
-from .imgcore import decode_pgm, encode_pgm
+from .imgcore import _SHOWN, _cut, decode_pgm, encode_pgm
 from .levelset import CvConfig, cv_energy, cv_evolve
 from .losses import bce_loss, finite_diff_check, iou_loss, rls_loss
 from .model import ArchConfig, init_params, load_model, new_workspace, \
@@ -30,28 +29,26 @@ class DataError(Exception):
 
 
 class UsageError(Exception):
-    """A bad invocation: arguments, config file or environment (exit 1)."""
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("WEAKSEG_THREADS", "1")
-    if not raw.isdecimal() or int(raw) < 1:
-        raise UsageError(f"WEAKSEG_THREADS must be a positive integer, "
-                         f"got {raw!r}")
-    return int(raw)
+    """A bad invocation: arguments or config file (exit 1)."""
 
 
 # ---------------------------------------------------------------------------
 # dataset directory I/O
 
 def _read(path, parse):
-    """parse(Path(path)); a missing or malformed file is a DataError."""
+    """parse(Path(path)); a missing, unreadable or malformed file is a
+    DataError naming it, with its stem (a sample id) cut to 20 characters
+    as read_annotation_csv cuts ids."""
+    path = Path(path)
+    shown = path.parent / (path.stem[:_SHOWN] + _cut(path.stem) + path.suffix)
     try:
-        return parse(Path(path))
+        return parse(path)
     except FileNotFoundError:
-        raise DataError(f"missing {path}") from None
+        raise DataError(f"missing {shown}") from None
+    except OSError as exc:
+        raise DataError(f"{shown}: {exc.strerror or exc}") from None
     except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from None
+        raise DataError(f"{shown}: {exc}") from None
 
 
 def _read_pgm(path) -> np.ndarray:
@@ -221,20 +218,11 @@ def cmd_eval(args) -> int:
     else:
         _check_model_sides(dataset, data)
         params, arch = load_model(args.model)
-        workers = min(_worker_count(), len(dataset))
     out = _make_out(args.out)
     if args.model is not None:
-        def infer(chunk):
-            # one workspace per worker: its forwards run in sequence
-            ws = new_workspace()
-            return [(r.sample_id,
-                     weaktrain.predict(r.image, params, arch, ws) >= 0.5)
-                    for r in chunk]
-
-        with ThreadPoolExecutor(workers) as pool:
-            for part in pool.map(infer, [dataset[i::workers]
-                                         for i in range(workers)]):
-                preds.update(part)
+        ws = new_workspace()  # the forwards run in sequence and share it
+        preds = {r.sample_id: weaktrain.predict(r.image, params, arch, ws)
+                 >= 0.5 for r in dataset}
     rows = [(r.sample_id, metrics.prf_dice(preds[r.sample_id], r.gt_mask))
             for r in dataset]
     summary = metrics.summarize([m for _, m in rows])
@@ -370,10 +358,15 @@ def model_gradcheck(seed: int) -> float:
     rng = np.random.default_rng(seed)
     cfg = weaktrain.TrainConfig(arch=ArchConfig(channels=4))
     params = init_params(seed, cfg.arch)
-    # move heads well off zero so downstream gradients dominate fd noise
+    # move heads well off zero so downstream gradients dominate fd noise,
+    # and lift every bias under a relu (the convs' and the scale-attention
+    # gates' hidden layer): with symmetric biases all of dec0's or a gate's
+    # units could start dead, zeroing every gradient upstream of them
     for name, view in param_views(params, cfg.arch).items():
-        if name.startswith("head") or name.endswith("_b"):
+        if name.startswith("head"):
             view[...] = rng.uniform(-0.5, 0.5, view.shape)
+        elif name.endswith(("_b", "_b1")):
+            view[...] = rng.uniform(0.1, 0.5, view.shape)
     ann = recist.RecistAnnotation((1.0, 4.0), (7.0, 4.0), (4.0, 2.0),
                                   (4.0, 6.0))
     sample = Sample.from_annotation(rng.uniform(0, 1, (8, 8)), ann)

@@ -12,13 +12,12 @@ The parameters are one float64 vector laid out as the model.bin payload;
 ``param_views`` gives named views into it. ``forward`` returns the three
 maps and a cache holding everything ``backward`` needs, the parameters
 included; ``backward`` returns one gradient vector of the same layout, which
-``adam_step`` applies in place. A caller that runs forwards in sequence
-(training, pseudo-mask updates, each ``eval --model`` worker) lends
-``forward`` one reusable ``ConvWorkspace`` per conv layer
-(``new_workspace``), which then holds every large temporary: padded inputs,
-the stride-2 im2col matrices, activations and the decoders' concatenated
-inputs. The cache's arrays are views of it, valid until the next ``forward``
-with that workspace.
+``adam_step`` applies in place. The package runs its forwards in sequence
+(training, pseudo-mask updates, ``eval --model``) and lends ``forward`` one
+reusable ``ConvWorkspace`` per conv layer (``new_workspace``), which then
+holds every large temporary: padded inputs, the stride-2 im2col matrices,
+activations and the decoders' concatenated inputs. The cache's arrays are
+views of it, valid until the next ``forward`` with that workspace.
 
 The stride-1 convs (enc1, enc3) are nine shifted GEMMs on the padded input
 (Anderson et al. 2017, "Low-memory GEMM-based convolution algorithms"); the
@@ -429,7 +428,7 @@ def forward(img: np.ndarray, params: np.ndarray, cfg: ArchConfig,
     buffers: the padded inputs and im2col matrices and also the activations
     and decoder inputs in the cache are views of it, valid only until the
     next forward with that same workspace (p1, p2 and p3 are fresh arrays).
-    Without one every buffer is fresh, as concurrent callers need."""
+    Without one every buffer is fresh: a one-off forward keeps nothing."""
     img = np.asarray(img, dtype=np.float64)
     h, w = img.shape
     if h % 4 or w % 4:
@@ -531,18 +530,22 @@ def adam_init(params: np.ndarray) -> AdamState:
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
               lr: float):
     """One in-place Adam update of the parameter vector; returns (params,
-    state). A non-finite gradient raises FloatingPointError naming its first
-    index before params or state change."""
-    finite = np.isfinite(grads)
+    state). An update that would leave a parameter non-finite, as any
+    non-finite gradient does, raises FloatingPointError naming the first
+    such index before params or state change."""
+    step = state.step + 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = _BETA1 * state.m + (1.0 - _BETA1) * grads
+        v = _BETA2 * state.v + (1.0 - _BETA2) * grads * grads
+        mhat = m / (1.0 - _BETA1 ** step)
+        vhat = v / (1.0 - _BETA2 ** step)
+        new = params - lr * mhat / (np.sqrt(vhat) + _ADAM_EPS)
+    finite = np.isfinite(new)
     if not finite.all():
-        raise FloatingPointError("non-finite gradient at parameter index "
-                                 f"{int(np.argmin(finite))}")
-    state.step += 1
-    state.m = _BETA1 * state.m + (1.0 - _BETA1) * grads
-    state.v = _BETA2 * state.v + (1.0 - _BETA2) * grads * grads
-    mhat = state.m / (1.0 - _BETA1 ** state.step)
-    vhat = state.v / (1.0 - _BETA2 ** state.step)
-    params -= lr * mhat / (np.sqrt(vhat) + _ADAM_EPS)
+        raise FloatingPointError("the Adam step leaves parameter index "
+                                 f"{int(np.argmin(finite))} non-finite")
+    params[...] = new
+    state.step, state.m, state.v = step, m, v
     return params, state
 
 
@@ -560,7 +563,8 @@ def load_model(path):
     """Returns (parameter vector, ArchConfig). A header other than the one
     save_model writes for its arch (an sa_enabled other than true or a
     pad_mode other than "zero" among them), or a payload of another length
-    than that arch needs, raises ValueError naming the file."""
+    than that arch needs, or one holding a non-finite value, raises
+    ValueError naming the file."""
     with open(path, "rb") as fh:
         line, payload = fh.readline(), fh.read()
     try:
@@ -592,4 +596,7 @@ def load_model(path):
     if len(payload) != 8 * size:
         raise ValueError(f"{path}: the payload holds {len(payload)} bytes, "
                          f"the arch needs {8 * size}")
-    return np.frombuffer(payload, dtype="<f8").astype(np.float64), cfg
+    params = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    if not np.isfinite(params).all():
+        raise ValueError(f"{path}: the payload holds a non-finite value")
+    return params, cfg

@@ -425,6 +425,18 @@ class TestAdam:
         assert np.array_equal(state.v, before[2])
         assert state.step == before[3]
 
+    def test_overflowing_step_rejected_and_changes_nothing(self):
+        # a finite gradient at lr 1e308 moves each parameter by about 1e308,
+        # which carries the one at 1e308 past the float range
+        params = np.array([0.0, 1e308, -1.0])
+        state = adam_init(params)
+        with pytest.raises(FloatingPointError,
+                           match="leaves parameter index 1 non-finite"):
+            adam_step(params, np.array([1.0, -1.0, 0.0]), state, lr=1e308)
+        assert np.array_equal(params, [0.0, 1e308, -1.0])
+        assert not state.m.any() and not state.v.any()
+        assert state.step == 0
+
 
 def test_model_file_roundtrip(tmp_path):
     cfg = ArchConfig(channels=4)
