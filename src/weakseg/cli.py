@@ -377,13 +377,7 @@ def model_gradcheck(seed: int) -> float:
 
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="weakseg",
-        description="Weakly-supervised lesion segmentation toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate a synthetic lesion dataset")
+def _synth_args(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=SynthConfig.seed)
     p.add_argument("--out", required=True)
@@ -394,13 +388,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distractors", type=int, default=SynthConfig.distractors)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="run the weakly-supervised training")
+
+def _train_args(p):
     p.add_argument("--config")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate predictions against ground truth")
+
+def _eval_args(p):
     p.add_argument("--data", required=True)
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--model")
@@ -408,7 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("segment-cv", help="Chan-Vese segmentation of one image")
+
+def _segment_cv_args(p):
     p.add_argument("--image", required=True)
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--init")
@@ -420,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=CvConfig.iters)
     p.set_defaults(func=cmd_segment_cv)
 
-    p = sub.add_parser("fit-ellipse", help="rasterize a fitted RECIST ellipse")
+
+def _fit_ellipse_args(p):
     p.add_argument("--recist", required=True)
     p.add_argument("--image-id", required=True)
     p.add_argument("--width", type=int, required=True)
@@ -428,16 +426,53 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit_ellipse)
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
+
+def _gradcheck_args(p):
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck)
+
+
+# (name, help, the function that adds its arguments) of each subcommand
+_COMMANDS = (
+    ("synth", "generate a synthetic lesion dataset", _synth_args),
+    ("train", "run the weakly-supervised training", _train_args),
+    ("eval", "evaluate predictions against ground truth", _eval_args),
+    ("segment-cv", "Chan-Vese segmentation of one image", _segment_cv_args),
+    ("fit-ellipse", "rasterize a fitted RECIST ellipse", _fit_ellipse_args),
+    ("gradcheck", "finite-difference gradient suite", _gradcheck_args),
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="weakseg",
+        description="Weakly-supervised lesion segmentation toolkit")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_, add_args in _COMMANDS:
+        add_args(sub.add_parser(name, help=help_))
     return parser
 
 
+def _parse(argv):
+    """build_parser().parse_args(argv), building only the invoked
+    subcommand's parser when argv names one: building all of them costs
+    more than most of a fast command's work. Arguments that parser leaves
+    over go to the full parser, so its error (prog weakseg) is the one
+    shown."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    add_args = {name: add for name, _, add in _COMMANDS}.get(
+        argv[0] if argv else None)
+    if add_args is None:
+        return build_parser().parse_args(argv)
+    parser = argparse.ArgumentParser(prog=f"weakseg {argv[0]}")
+    add_args(parser)
+    args, rest = parser.parse_known_args(argv[1:])
+    return build_parser().parse_args(argv) if rest else args
+
+
 def cli_main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:

@@ -149,6 +149,20 @@ def cv_energy(phi, img, cfg: CvConfig, grad=None, work=None) -> float:
     return energy
 
 
+def signed_distance(m: np.ndarray) -> np.ndarray:
+    """edt(m) - edt(~m) of a boolean mask with pixels on both sides, where
+    edt is scipy's distance_transform_edt, with the same bytes. edt(m) is
+    zero outside m, and the nearest background pixel of a pixel of m lies
+    in m's bounding box grown by one pixel and clipped to the grid, so
+    edt(m) is taken on that crop only."""
+    rows, cols = np.flatnonzero(m.any(axis=1)), np.flatnonzero(m.any(axis=0))
+    box = (slice(max(rows[0] - 1, 0), rows[-1] + 2),
+           slice(max(cols[0] - 1, 0), cols[-1] + 2))
+    phi = -distance_transform_edt(~m)
+    phi[box] += distance_transform_edt(m[box])
+    return phi
+
+
 def cv_evolve(img: np.ndarray, init: np.ndarray, cfg: CvConfig = CvConfig()):
     """Evolve a level set from a binary initialization.
 
@@ -169,8 +183,7 @@ def cv_evolve(img: np.ndarray, init: np.ndarray, cfg: CvConfig = CvConfig()):
     # signed distance to the mask boundary: away from it H(phi) saturates, so
     # the region means separate immediately (a +-1 init leaves them nearly
     # equal under the smoothed Heaviside and the descent stalls)
-    phi = distance_transform_edt(m) - distance_transform_edt(~m)
-    phi = phi.astype(v.dtype)
+    phi = signed_distance(m).astype(v.dtype)
     cand, grad, g_new = (np.empty_like(phi) for _ in range(3))
     work = np.empty((_N_WORK,) + v.shape, dtype=v.dtype)
     inside, spare = np.greater_equal(phi, 0.0), np.empty(v.shape, dtype=bool)

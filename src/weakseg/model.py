@@ -17,7 +17,11 @@ included; ``backward`` returns one gradient vector of the same layout, which
 reusable ``ConvWorkspace`` per conv layer (``new_workspace``), which then
 holds every large temporary: padded inputs, the stride-2 im2col matrices,
 activations and the decoders' concatenated inputs. The cache's arrays are
-views of it, valid until the next ``forward`` with that workspace.
+views of it, valid until the next ``forward`` with that workspace. The
+layers' buffers that no cache refers to and that die before the next conv
+call (phase sums, tap products, decoder inputs and every backward buffer)
+live in one scratch holder that all seven layers share, so the workspace
+holds the largest of each rather than one per layer.
 
 The stride-1 convs (enc1, enc3) are nine shifted GEMMs on the padded input
 (Anderson et al. 2017, "Low-memory GEMM-based convolution algorithms"); the
@@ -75,27 +79,40 @@ class ConvWorkspace:
     columns, one grid per output phase, for dw; at stride 2 zero-upsampled,
     for dx), the padded output gradient ``dp`` (one per output phase) and
     the input gradient ``dx``. ``tap`` holds one shifted product at a
-    time."""
+    time.
 
-    def __init__(self):
+    The _SCRATCH kinds come from ``scratch``, a holder that the layers of
+    one new_workspace share. That is safe because no cache refers to them
+    and each dies before the next conv call: ``ph`` and ``tap`` within
+    one, ``cat`` once conv2d has padded it into ``xp``, and ``dx`` (which
+    conv2d_backward returns) once the caller has read it. ``xp``, ``col``,
+    ``out`` and ``up`` live from forward until backward, so each layer
+    keeps its own. Without ``scratch`` the workspace keeps every buffer."""
+
+    def __init__(self, scratch: dict | None = None):
         self._flat = {}
+        self._scratch = self._flat if scratch is None else scratch
 
     def buffer(self, kind: str, shape) -> np.ndarray:
+        store = self._scratch if kind in _SCRATCH else self._flat
         n = math.prod(shape)
-        flat = self._flat.get(kind)
+        flat = store.get(kind)
         if flat is None or flat.size < n:
-            flat = self._flat[kind] = np.empty(n)
+            flat = store[kind] = np.empty(n)
         return flat[:n].reshape(shape)
 
 
+_SCRATCH = frozenset({"ph", "tap", "cat", "dg", "dp", "dx"})
 CONV_LAYERS = ("enc0", "enc1", "enc2", "enc3", "dec0", "dec1", "dec2")
 
 
 def new_workspace() -> dict:
-    """One ConvWorkspace per conv layer, for ``forward(..., workspace=)``.
-    Keyed by layer, not by shape: the padded inputs of enc2, enc3 and dec0
-    share a shape, and each must survive from forward until backward."""
-    return {name: ConvWorkspace() for name in CONV_LAYERS}
+    """One ConvWorkspace per conv layer, for ``forward(..., workspace=)``,
+    all sharing one scratch holder. Keyed by layer, not by shape: the
+    padded inputs of enc2, enc3 and dec0 share a shape, and each must
+    survive from forward until backward."""
+    scratch = {}
+    return {name: ConvWorkspace(scratch) for name in CONV_LAYERS}
 
 
 def _pad(xp: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -167,6 +184,20 @@ def _geometry(w, wd: int, upsample: bool):
     return 1, w.transpose(2, 3, 0, 1).reshape(9, cout, cin), _tap_offsets(wd)
 
 
+def _tap_columns(xs, n: int, wd: int, upsample: bool):
+    """Every tap's slice of the flattened padded input xs of a stride-1
+    conv of width W, transposed, as one (3, 3, n, Cin) view, or with
+    upsample (2, 2, 2, 2, n, Cin) by phase and tap: in _geometry's order,
+    tap i is xs[:, o:o + n].T at offsets[i]."""
+    e = xs.strides[1]
+    row = (wd + 2) * e
+    shape, strides = ((2, 2, 2, 2), (row, e) * 2) if upsample \
+        else ((3, 3), (row, e))
+    return np.lib.stride_tricks.as_strided(
+        xs, shape + (n, xs.shape[0]), strides + (e, xs.strides[0]),
+        writeable=False)
+
+
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1,
            workspace: ConvWorkspace | None = None, upsample: bool = False):
     """3x3 convolution, zero pad 1, of x or, with upsample (at stride 1), of
@@ -199,9 +230,11 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1,
         for p in range(s * s):
             _shifted_conv(flat, taps[p * k:p * k + k],
                           offsets[p * k:p * k + k], ph, tap)
-            # the sum lands on an (H, W+2) grid; drop its 2 spare columns
-            np.add(ph.reshape(cout, h, wd + 2)[:, :, :wd], b[:, None, None],
-                   out=out[:, p // s::s, p % s::s])
+            # the bias goes on the contiguous (H, W+2) grid, one long loop
+            # per channel; one copy then drops its 2 spare columns
+            np.add(ph, b[:, None], out=ph)
+            out[:, p // s::s, p % s::s] = \
+                ph.reshape(cout, h, wd + 2)[:, :, :wd]
         return out, (flat, x.shape, w, stride, workspace, upsample)
     xp = _pad(workspace.buffer("xp", (cin, h + 2, wd + 2)), x)
     ho, wo = h // stride, wd // stride
@@ -220,7 +253,8 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1,
 def conv2d_backward(dout: np.ndarray, cache, input_grad: bool = True):
     """Returns (dx, dw, db); dx is None when input_grad is false. dx is a view
     of a buffer of the cache's workspace (one of its own when conv2d had
-    none), valid until the next backward into that buffer.
+    none), valid until the next backward into that buffer: with a
+    workspace from new_workspace, the next backward of any of its layers.
 
     At stride 1, the gradient of a tap is its phase's output gradient, laid
     on the padded grid with zero spare columns, times the tap's slice of the
@@ -242,12 +276,15 @@ def conv2d_backward(dout: np.ndarray, cache, input_grad: bool = True):
         dw = (dout.reshape(cout, -1) @ xs.T).reshape(w.shape)
     else:
         dg = workspace.buffer("dg", (s * s, cout, h, wd + 2))
+        dg.fill(0.0)
         for p in range(s * s):
             dg[p, :, :, :wd] = dout[:, p // s::s, p % s::s]
-        dg[..., wd:] = 0.0
-        dg = dg.reshape(s * s, cout, n)
-        dk = np.stack([dg[i // k] @ xs[:, o:o + n].T
-                       for i, o in enumerate(offsets)])
+        # one batched matmul; it runs each tap's GEMM as a call of its own
+        # would, so the bytes are the same
+        dk = np.matmul(dg.reshape(2, 2, 1, 1, cout, n) if upsample
+                       else dg.reshape(cout, n),
+                       _tap_columns(xs, n, wd, upsample)
+                       ).reshape(len(taps), cout, cin)
         dw = (dk.reshape(16, -1).T @ _MERGE if upsample
               else dk.transpose(1, 2, 0)).reshape(w.shape)
     if not input_grad:
@@ -283,9 +320,14 @@ def relu(x, out=None):
 
 
 def up2(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Nearest 2x upsampling of (C,H,W) x, written into out (C,2H,2W)."""
+    """Nearest 2x upsampling of (C,H,W) x, written into out (C,2H,2W): x
+    into the even and odd columns of the even rows, then the even rows onto
+    the odd ones, so every copy runs along whole rows."""
     c, h, w = x.shape
-    out.reshape(c, h, 2, w, 2)[...] = x[:, :, None, :, None]
+    rows = out.reshape(c, h, 2, 2 * w)
+    rows[:, :, 0, 0::2] = x
+    rows[:, :, 0, 1::2] = x
+    rows[:, :, 1] = rows[:, :, 0]
     return out
 
 

@@ -803,6 +803,18 @@ class TestFitEllipse:
                    "--out", str(tmp_path / "e.pgm")) == 2
 
 
+# the arguments of one valid invocation of each subcommand, ending in a
+# required flag and its value; test_parse_matches_the_full_parser runs none
+# of them, since each of its cases is refused
+VALID_ARGS = {"synth": ["--out", "o", "--n", "1"],
+              "train": ["--data", "d", "--out", "o"],
+              "eval": ["--data", "d", "--out", "o", "--model", "m"],
+              "segment-cv": ["--image", "i", "--out", "o", "--init", "m"],
+              "fit-ellipse": ["--recist", "r", "--image-id", "x", "--width",
+                              "4", "--height", "4", "--out", "o"],
+              "gradcheck": []}
+
+
 class TestGradcheckAndUsage:
     def test_gradcheck_passes(self, capsys):
         # at seed 2 a coordinate's gradient near 1e-8 is within the finite
@@ -883,6 +895,26 @@ class TestGradcheckAndUsage:
                    "--out", str(tmp_path / "m.pgm")) == 1
         assert not (tmp_path / "e").exists()
         assert not (tmp_path / "m.pgm").exists()
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["nope"], ["--seed", "1", "gradcheck"],
+        *[[name, *args[:-2]] for name, args in VALID_ARGS.items() if args],
+        *[[name, *args, "--bogus", "1"] for name, args in VALID_ARGS.items()],
+        *[[name, *args, "extra"] for name, args in VALID_ARGS.items()],
+        *[[name, "-h"] for name in VALID_ARGS],
+        ["eval", *VALID_ARGS["eval"], "--pred", "p"],
+        ["synth", "--out", "o", "--n", "x"],
+    ], ids=lambda argv: " ".join(argv) or "no-args")
+    def test_parse_matches_the_full_parser(self, capsys, argv):
+        # cli_main builds only the invoked subcommand's parser; what it
+        # prints and returns is what the parser of every subcommand gives
+        code = run(*argv)
+        got = capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        want = capsys.readouterr()
+        assert (got.out, got.err) == (want.out, want.err)
+        assert code == (0 if exc.value.code == 0 else 1)
 
     @pytest.mark.parametrize("flags, named", [
         (["--n", "0"], "--n must be >= 1, got 0"),

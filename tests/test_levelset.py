@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from weakseg import levelset
-from weakseg.levelset import (CvConfig, cv_energy, cv_evolve, smooth_delta,
-                              smooth_heaviside)
+from weakseg.levelset import (CvConfig, cv_energy, cv_evolve,
+                              signed_distance, smooth_delta, smooth_heaviside)
 from weakseg.losses import (RLS_LAMBDA1, RLS_LAMBDA2, DegenerateRegionError,
                             data_term, finite_diff_check, rls_loss)
 from scipy.ndimage import distance_transform_edt
@@ -437,6 +437,44 @@ class TestConfigValidation:
             CvConfig(**{field: value})
         assert str(exc.value).startswith(f"{field} must")
         assert str(exc.value).endswith(f"got {value}")
+
+
+def _distance_masks():
+    """(id, mask) pairs with pixels on both sides: masks touching each
+    border and corner, single pixels, one-row and one-column masks, a box
+    spanning the grid, and noise."""
+    def mask(shape, *index):
+        m = np.zeros(shape, dtype=bool)
+        m[index] = True
+        return m
+
+    cases = [("top", mask((9, 11), slice(0, 3), slice(2, 7))),
+             ("bottom", mask((9, 11), slice(6, 9), slice(2, 7))),
+             ("left", mask((9, 11), slice(2, 5), slice(0, 4))),
+             ("right", mask((9, 11), slice(2, 5), slice(8, 11))),
+             ("corner", mask((9, 11), slice(5, 9), slice(7, 11))),
+             ("pixel-inner", mask((9, 11), 4, 5)),
+             ("pixel-corner", mask((9, 11), 0, 10)),
+             ("pixel-on-1x2", mask((1, 2), 0, 0)),
+             ("row", mask((9, 11), 4, slice(1, 9))),
+             ("row-of-grid", mask((9, 11), 0, slice(None))),
+             ("one-row-grid", mask((1, 12), 0, slice(3, 7))),
+             ("column", mask((9, 11), slice(None), 6)),
+             ("spans-grid", ~mask((9, 11), slice(3, 5), slice(4, 6)))]
+    rng = np.random.default_rng(21)
+    for i in range(6):
+        m = rng.uniform(size=(13, 10)) < 0.2 + 0.12 * i
+        m[0, 0], m[-1, -1] = True, False
+        cases.append((f"noise{i}", m))
+    return cases
+
+
+@pytest.mark.parametrize("mask", [m for _, m in _distance_masks()],
+                         ids=[i for i, _ in _distance_masks()])
+def test_signed_distance_matches_full_transforms(mask):
+    # edt(m) on m's grown box gives the bytes of the full-grid transforms
+    want = distance_transform_edt(mask) - distance_transform_edt(~mask)
+    assert signed_distance(mask).tobytes() == want.tobytes()
 
 
 class TestEvolve:
