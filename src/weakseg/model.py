@@ -30,10 +30,13 @@ nearest 2x upsampling of their low-resolution input, which is the same as
 four 2x2 convs of that input, one per output phase (Shi et al. 2016,
 "Real-Time Single Image and Video Super-Resolution Using an Efficient
 Sub-Pixel CNN"): sixteen shifted GEMMs, 16/36 of the multiply-adds, and the
-upsampled input is never built. Every input gradient is the transposed
-convolution run as shifted GEMMs, at stride 2 on the zero-upsampled output
-gradient (Dumoulin & Visin 2016), and for dec1 and dec2 on the four output
-phases' gradients, landing on the low-resolution grid.
+upsampled input is never built. Both strides pad their input into one
+(C, H+3, W+2) shape, and the backward lays each output gradient out once,
+padded the same way: the stride-1 weight gradients read views of it, and
+every input gradient is the transposed convolution run as shifted GEMMs on
+it, at stride 2 on the zero-upsampled output gradient (Dumoulin & Visin
+2016), and for dec1 and dec2 on the four output phases' gradients, landing
+on the low-resolution grid.
 """
 
 from __future__ import annotations
@@ -69,25 +72,24 @@ class AdamState:
 class ConvWorkspace:
     """Reusable buffers of one conv layer, each one flat array grown when a
     call needs more and viewed at the call's shape, so inputs of varying
-    size reuse it too. Forward: the padded input ``xp``, the conv output
-    ``out`` (which ``forward`` relus in place), at stride 2 the im2col
-    matrix ``col`` and at stride 1 one output phase's shifted-GEMM sum
-    ``ph`` (the whole output without upsampling); for dec0 the upsampled
-    encoder features ``up``, and for dec1 and dec2 the low-resolution input
-    ``cat`` (the features and the previous head's map). Backward: the output
-    gradient on the input's grid ``dg`` (at stride 1 with two zero spare
-    columns, one grid per output phase, for dw; at stride 2 zero-upsampled,
-    for dx), the padded output gradient ``dp`` (one per output phase) and
-    the input gradient ``dx``. ``tap`` holds one shifted product at a
-    time.
+    size reuse it too. Forward: the padded input ``xp`` ((C, H+3, W+2) at
+    either stride), the conv output ``out`` (which ``forward`` relus in
+    place), at stride 2 the im2col matrix ``col`` and at stride 1 one
+    output phase's shifted-GEMM sum ``ph`` (the whole output without
+    upsampling); for dec0 the upsampled encoder features ``up``, and for
+    dec1 and dec2 the low-resolution input ``cat`` (the features and the
+    previous head's map). Backward: the padded output gradient ``dp``, one
+    grid per output phase (at stride 2 zero-upsampled, and built only for
+    dx), which the stride-1 dw and dx both read, and the input gradient
+    ``dx``. ``tap`` holds one shifted product at a time.
 
     The _SCRATCH kinds come from ``scratch``, a holder that the layers of
     one new_workspace share. That is safe because no cache refers to them
-    and each dies before the next conv call: ``ph`` and ``tap`` within
-    one, ``cat`` once conv2d has padded it into ``xp``, and ``dx`` (which
-    conv2d_backward returns) once the caller has read it. ``xp``, ``col``,
-    ``out`` and ``up`` live from forward until backward, so each layer
-    keeps its own. Without ``scratch`` the workspace keeps every buffer."""
+    and each dies before the next conv call: ``ph``, ``tap`` and ``dp``
+    within one, ``cat`` once conv2d has padded it into ``xp``, and ``dx``
+    (which conv2d_backward returns) once the caller has read it. ``xp``,
+    ``col``, ``out`` and ``up`` live from forward until backward, so each
+    layer keeps its own. Without ``scratch`` the workspace keeps every buffer."""
 
     def __init__(self, scratch: dict | None = None):
         self._flat = {}
@@ -102,7 +104,7 @@ class ConvWorkspace:
         return flat[:n].reshape(shape)
 
 
-_SCRATCH = frozenset({"ph", "tap", "cat", "dg", "dp", "dx"})
+_SCRATCH = frozenset({"ph", "tap", "cat", "dp", "dx"})
 CONV_LAYERS = ("enc0", "enc1", "enc2", "enc3", "dec0", "dec1", "dec2")
 
 
@@ -203,27 +205,29 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1,
     """3x3 convolution, zero pad 1, of x or, with upsample (at stride 1), of
     its nearest 2x upsampling. Returns (out, cache for conv2d_backward).
 
-    Stride 1 sums nine shifted GEMMs on the padded input (_shifted_conv);
-    stride 2 multiplies by the im2col matrix. With upsample, output phase
-    (pi, pj), out[:, pi::2, pj::2], is a 2x2 conv of the padded x whose taps
-    are merged from the 3x3 kernel (_phase_taps): four shifted GEMMs per
-    phase, so the upsampled input is never built (Shi et al. 2016). With no
-    workspace every buffer is freshly allocated. With one, the padded input,
-    the im2col matrix, each phase's sum and the output are written into its
-    ``xp``, ``col``, ``ph`` and ``out`` buffers, and conv2d_backward takes
-    its buffers from it too: the output and the cache are then valid only
-    until the next conv2d call with that same workspace."""
+    Both strides pad x into one (C, H+3, W+2) shape. Stride 1 sums nine
+    shifted GEMMs on the padded input (_shifted_conv); stride 2 multiplies
+    by the im2col matrix, one copy of a window view of it. With upsample,
+    output phase (pi, pj), out[:, pi::2, pj::2], is a 2x2 conv of the
+    padded x whose taps are merged from the 3x3 kernel (_phase_taps): four
+    shifted GEMMs per phase, so the upsampled input is never built (Shi et
+    al. 2016). With no workspace every buffer is freshly allocated. With
+    one, the padded input, the im2col matrix, each phase's sum and the
+    output are written into its ``xp``, ``col``, ``ph`` and ``out``
+    buffers, and conv2d_backward takes its buffers from it too: the output
+    and the cache are then valid only until the next conv2d call with that
+    same workspace."""
     if upsample and stride != 1:
         raise ValueError("upsample needs stride 1")
     if workspace is None:
         workspace = ConvWorkspace()
     cin, h, wd = x.shape
     cout = w.shape[0]
+    xp = _pad(workspace.buffer("xp", (cin, h + 3, wd + 2)), x)
     if stride == 1:
         s, taps, offsets = _geometry(w, wd, upsample)
         k, n = len(taps) // (s * s), h * (wd + 2)
-        flat = _pad(workspace.buffer("xp", (cin, h + 3, wd + 2)),
-                    x).reshape(cin, -1)
+        flat = xp.reshape(cin, -1)
         ph = workspace.buffer("ph", (cout, n))
         tap = workspace.buffer("tap", (cout, n))
         out = workspace.buffer("out", (cout, s * h, s * wd))
@@ -236,13 +240,13 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1,
             out[:, p // s::s, p % s::s] = \
                 ph.reshape(cout, h, wd + 2)[:, :, :wd]
         return out, (flat, x.shape, w, stride, workspace, upsample)
-    xp = _pad(workspace.buffer("xp", (cin, h + 2, wd + 2)), x)
     ho, wo = h // stride, wd // stride
     col = workspace.buffer("col", (cin, 3, 3, ho, wo))
-    for di in range(3):
-        for dj in range(3):
-            col[:, di, dj] = xp[:, di:di + (ho - 1) * stride + 1:stride,
-                                dj:dj + (wo - 1) * stride + 1:stride]
+    # one copy of the window view: tap (di, dj) of output pixel (i, j)
+    # reads xp[:, di + stride*i, dj + stride*j]
+    c, r, e = xp.strides
+    col[...] = np.lib.stride_tricks.as_strided(
+        xp, col.shape, (c, r, e, stride * r, stride * e), writeable=False)
     col2 = col.reshape(cin * 9, ho * wo)
     out = workspace.buffer("out", (cout, ho, wo))
     np.matmul(w.reshape(cout, cin * 9), col2, out=out.reshape(cout, ho * wo))
@@ -256,51 +260,49 @@ def conv2d_backward(dout: np.ndarray, cache, input_grad: bool = True):
     none), valid until the next backward into that buffer: with a
     workspace from new_workspace, the next backward of any of its layers.
 
-    At stride 1, the gradient of a tap is its phase's output gradient, laid
-    on the padded grid with zero spare columns, times the tap's slice of the
-    padded input; with upsample, _MERGE folds the phase taps' gradients back
-    into dw. dx is the transposed convolution: _shifted_conv with each tap
-    transposed, on its phase's output gradient zero-padded as the forward
-    pads its input, the tap read at offset (a, b) in the forward read at
-    (2-a, 2-b). With upsample it lands on the low-resolution grid. A strided
-    conv samples the stride-1 conv, so there the output gradient is first
-    zero-upsampled to the input's grid."""
+    The output gradient is laid out once, zero-padded as the forward pads
+    its input, one grid per output phase. A strided conv samples the
+    stride-1 conv, so there it lands on every stride-th pixel of a zeroed
+    grid, which is built only for dx; dw is the output gradient times the
+    im2col matrix. At stride 1, from row 1, column 1 on, each phase's
+    flattened padded gradient is its output gradient on the (H, W+2) grid
+    with two zero spare columns, and the gradient of a tap is that view
+    times the tap's slice of the padded input; with upsample, _MERGE folds
+    the phase taps' gradients back into dw. dx is the transposed
+    convolution: _shifted_conv with each tap transposed on the padded
+    gradient, the tap read at offset (a, b) in the forward read at
+    (2-a, 2-b). With upsample it lands on the low-resolution grid."""
     xs, xshape, w, stride, workspace, upsample = cache
     cin, h, wd = xshape
     cout = dout.shape[0]
-    n = h * (wd + 2)
+    n, size = h * (wd + 2), (h + 3) * (wd + 2)
     db = dout.reshape(cout, -1).sum(axis=1)
     s, taps, offsets = _geometry(w, wd, upsample)
     k = len(taps) // (s * s)
     if stride != 1:
         dw = (dout.reshape(cout, -1) @ xs.T).reshape(w.shape)
+        if input_grad:
+            dp = workspace.buffer("dp", (cout, 1, h + 3, wd + 2))
+            dp.fill(0.0)
+            dp[:, 0, 1:stride * dout.shape[1]:stride,
+               1:stride * dout.shape[2]:stride] = dout
     else:
-        dg = workspace.buffer("dg", (s * s, cout, h, wd + 2))
-        dg.fill(0.0)
+        dp = workspace.buffer("dp", (cout, s * s, h + 3, wd + 2))
         for p in range(s * s):
-            dg[p, :, :, :wd] = dout[:, p // s::s, p % s::s]
-        # one batched matmul; it runs each tap's GEMM as a call of its own
-        # would, so the bytes are the same
-        dk = np.matmul(dg.reshape(2, 2, 1, 1, cout, n) if upsample
-                       else dg.reshape(cout, n),
+            _pad(dp[:, p], dout[:, p // s::s, p % s::s])
+        # one batched matmul over views of dp; it runs each tap's GEMM as a
+        # call of its own on a contiguous copy would, so the bytes are the
+        # same
+        g = dp.reshape(cout, s * s, size)[:, :, wd + 3:wd + 3 + n]
+        dk = np.matmul(g.transpose(1, 0, 2).reshape(s, s, 1, 1, cout, n),
                        _tap_columns(xs, n, wd, upsample)
                        ).reshape(len(taps), cout, cin)
         dw = (dk.reshape(16, -1).T @ _MERGE if upsample
               else dk.transpose(1, 2, 0)).reshape(w.shape)
     if not input_grad:
         return None, dw, db
-    if stride != 1:
-        up = workspace.buffer("dg", (cout, h, wd))
-        up.fill(0.0)
-        up[:, :dout.shape[1] * stride:stride,
-           :dout.shape[2] * stride:stride] = dout
-        dout = up
-    dp = workspace.buffer("dp", (cout, s * s, h + 3, wd + 2))
-    for p in range(s * s):
-        _pad(dp[:, p], dout[:, p // s::s, p % s::s])
     # phase p's padded gradient starts at p*size, and (2-a)*(W+2) + 2-b is
     # 2*(W+3) minus the forward offset a*(W+2) + b
-    size = (h + 3) * (wd + 2)
     dx = workspace.buffer("dx", (cin, n))
     _shifted_conv(dp.reshape(cout, -1), taps.transpose(0, 2, 1),
                   [i // k * size + 2 * (wd + 3) - o
