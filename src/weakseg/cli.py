@@ -218,6 +218,12 @@ def cmd_eval(args) -> int:
     else:
         _check_model_sides(dataset, data)
         params, arch = load_model(args.model)
+        # inference runs in float32; training and model.bin stay float64
+        with np.errstate(over="ignore"):
+            params = params.astype(np.float32)
+        if not np.isfinite(params).all():
+            raise DataError(f"{args.model}: a parameter exceeds the float32 "
+                            "range")
     out = _make_out(args.out)
     if args.model is not None:
         ws = new_workspace()  # the forwards run in sequence and share it

@@ -115,8 +115,9 @@ def decode_pgm(data: bytes) -> np.ndarray:
             values[i] = int(digits)
     if values.max(initial=0) > maxval:
         raise DecodeError(f"sample exceeds maxval {maxval}")
-    img = values.reshape(height, width).astype(np.float64) / maxval
-    return img
+    # one division into the float64 image, with no image-sized temporary
+    return np.true_divide(values.reshape(height, width), maxval,
+                          dtype=np.float64)
 
 
 def encode_pgm(img: np.ndarray) -> bytes:

@@ -2,18 +2,22 @@
 scale-attention fusion of the two encoder scales, implemented with manual
 forward/backward passes in numpy.
 
-Feature maps are (channels, height, width) float64 arrays. The encoder has
+Feature maps are (channels, height, width) arrays. The encoder has
 two stride-2 stages (features at 1/2 and 1/4 resolution); the decoder emits
 probability heads at 1/4, 1/2 and full resolution, each upsampling stage
 taking the previous head's map as an extra input channel, so input sides must
 be multiples of 4.
 
-The parameters are one float64 vector laid out as the model.bin payload;
-``param_views`` gives named views into it. ``forward`` returns the three
-maps and a cache holding everything ``backward`` needs, the parameters
-included; ``backward`` returns one gradient vector of the same layout, which
-``adam_step`` applies in place. The package runs its forwards in sequence
-(training, pseudo-mask updates, ``eval --model``) and lends ``forward`` one
+The parameters are one vector laid out as the model.bin payload;
+``param_views`` gives named views into it. ``forward`` computes in the dtype
+of the vector it gets: float64 for training, the pseudo-mask updates and
+gradcheck, float32 for ``eval --model``, which casts the float64 vector it
+loads once (mixed precision, Micikevicius et al. 2018, "Mixed Precision
+Training"). It returns the three maps and a cache holding everything
+``backward`` needs, the parameters included; ``backward`` takes only a
+float64 forward's cache and returns one gradient vector of the same layout,
+which ``adam_step`` applies in place. The package runs its forwards in
+sequence (training, pseudo-mask updates, ``eval --model``) and lends one
 reusable ``ConvWorkspace`` per conv layer (``new_workspace``), which then
 holds every large temporary: padded inputs, the stride-2 im2col matrices,
 activations and the decoders' concatenated inputs. The cache's arrays are
@@ -71,17 +75,18 @@ class AdamState:
 
 class ConvWorkspace:
     """Reusable buffers of one conv layer, each one flat array grown when a
-    call needs more and viewed at the call's shape, so inputs of varying
-    size reuse it too. Forward: the padded input ``xp`` ((C, H+3, W+2) at
-    either stride), the conv output ``out`` (which ``forward`` relus in
-    place), at stride 2 the im2col matrix ``col`` and at stride 1 one
-    output phase's shifted-GEMM sum ``ph`` (the whole output without
-    upsampling); for dec0 the upsampled encoder features ``up``, and for
-    dec1 and dec2 the low-resolution input ``cat`` (the features and the
-    previous head's map). Backward: the padded output gradient ``dp``, one
-    grid per output phase (at stride 2 zero-upsampled, and built only for
-    dx), which the stride-1 dw and dx both read, and the input gradient
-    ``dx``. ``tap`` holds one shifted product at a time.
+    call needs more, made anew when a call needs another dtype, and viewed
+    at the call's shape, so inputs of varying size reuse it too. Forward:
+    the padded input ``xp`` ((C, H+3, W+2) at either stride), the conv
+    output ``out`` (which ``forward`` relus in place), at stride 2 the
+    im2col matrix ``col`` and at stride 1 one output phase's shifted-GEMM
+    sum ``ph`` (the whole output without upsampling); for dec0 the upsampled
+    encoder features ``up``, and for dec1 and dec2 the low-resolution input
+    ``cat`` (the features and the previous head's map). Backward: the padded
+    output gradient ``dp``, one grid per output phase (at stride 2
+    zero-upsampled, and built only for dx), which the stride-1 dw and dx
+    both read, and the input gradient ``dx``. ``tap`` holds one shifted
+    product at a time.
 
     The _SCRATCH kinds come from ``scratch``, a holder that the layers of
     one new_workspace share. That is safe because no cache refers to them
@@ -95,12 +100,12 @@ class ConvWorkspace:
         self._flat = {}
         self._scratch = self._flat if scratch is None else scratch
 
-    def buffer(self, kind: str, shape) -> np.ndarray:
+    def buffer(self, kind: str, shape, dtype) -> np.ndarray:
         store = self._scratch if kind in _SCRATCH else self._flat
         n = math.prod(shape)
         flat = store.get(kind)
-        if flat is None or flat.size < n:
-            flat = store[kind] = np.empty(n)
+        if flat is None or flat.size < n or flat.dtype != dtype:
+            flat = store[kind] = np.empty(n, dtype)
         return flat[:n].reshape(shape)
 
 
@@ -154,7 +159,8 @@ def _phase_taps(w):
     small GEMM: merging tap by tap with indexing costs more than a whole
     conv of a 16x16 input."""
     cout, cin = w.shape[:2]
-    return (_MERGE @ w.reshape(cout * cin, 9).T).reshape(16, cout, cin)
+    merge = _MERGE.astype(w.dtype, copy=False)
+    return (merge @ w.reshape(cout * cin, 9).T).reshape(16, cout, cin)
 
 
 def _phase_offsets(wd: int):
@@ -222,15 +228,15 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1,
     if workspace is None:
         workspace = ConvWorkspace()
     cin, h, wd = x.shape
-    cout = w.shape[0]
-    xp = _pad(workspace.buffer("xp", (cin, h + 3, wd + 2)), x)
+    cout, dt = w.shape[0], w.dtype
+    xp = _pad(workspace.buffer("xp", (cin, h + 3, wd + 2), dt), x)
     if stride == 1:
         s, taps, offsets = _geometry(w, wd, upsample)
         k, n = len(taps) // (s * s), h * (wd + 2)
         flat = xp.reshape(cin, -1)
-        ph = workspace.buffer("ph", (cout, n))
-        tap = workspace.buffer("tap", (cout, n))
-        out = workspace.buffer("out", (cout, s * h, s * wd))
+        ph = workspace.buffer("ph", (cout, n), dt)
+        tap = workspace.buffer("tap", (cout, n), dt)
+        out = workspace.buffer("out", (cout, s * h, s * wd), dt)
         for p in range(s * s):
             _shifted_conv(flat, taps[p * k:p * k + k],
                           offsets[p * k:p * k + k], ph, tap)
@@ -241,14 +247,14 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1,
                 ph.reshape(cout, h, wd + 2)[:, :, :wd]
         return out, (flat, x.shape, w, stride, workspace, upsample)
     ho, wo = h // stride, wd // stride
-    col = workspace.buffer("col", (cin, 3, 3, ho, wo))
+    col = workspace.buffer("col", (cin, 3, 3, ho, wo), dt)
     # one copy of the window view: tap (di, dj) of output pixel (i, j)
     # reads xp[:, di + stride*i, dj + stride*j]
     c, r, e = xp.strides
     col[...] = np.lib.stride_tricks.as_strided(
         xp, col.shape, (c, r, e, stride * r, stride * e), writeable=False)
     col2 = col.reshape(cin * 9, ho * wo)
-    out = workspace.buffer("out", (cout, ho, wo))
+    out = workspace.buffer("out", (cout, ho, wo), dt)
     np.matmul(w.reshape(cout, cin * 9), col2, out=out.reshape(cout, ho * wo))
     out += b[:, None, None]
     return out, (col2, x.shape, w, stride, workspace, upsample)
@@ -274,7 +280,7 @@ def conv2d_backward(dout: np.ndarray, cache, input_grad: bool = True):
     (2-a, 2-b). With upsample it lands on the low-resolution grid."""
     xs, xshape, w, stride, workspace, upsample = cache
     cin, h, wd = xshape
-    cout = dout.shape[0]
+    cout, dt = dout.shape[0], w.dtype
     n, size = h * (wd + 2), (h + 3) * (wd + 2)
     db = dout.reshape(cout, -1).sum(axis=1)
     s, taps, offsets = _geometry(w, wd, upsample)
@@ -282,12 +288,12 @@ def conv2d_backward(dout: np.ndarray, cache, input_grad: bool = True):
     if stride != 1:
         dw = (dout.reshape(cout, -1) @ xs.T).reshape(w.shape)
         if input_grad:
-            dp = workspace.buffer("dp", (cout, 1, h + 3, wd + 2))
+            dp = workspace.buffer("dp", (cout, 1, h + 3, wd + 2), dt)
             dp.fill(0.0)
             dp[:, 0, 1:stride * dout.shape[1]:stride,
                1:stride * dout.shape[2]:stride] = dout
     else:
-        dp = workspace.buffer("dp", (cout, s * s, h + 3, wd + 2))
+        dp = workspace.buffer("dp", (cout, s * s, h + 3, wd + 2), dt)
         for p in range(s * s):
             _pad(dp[:, p], dout[:, p // s::s, p % s::s])
         # one batched matmul over views of dp; it runs each tap's GEMM as a
@@ -303,11 +309,11 @@ def conv2d_backward(dout: np.ndarray, cache, input_grad: bool = True):
         return None, dw, db
     # phase p's padded gradient starts at p*size, and (2-a)*(W+2) + 2-b is
     # 2*(W+3) minus the forward offset a*(W+2) + b
-    dx = workspace.buffer("dx", (cin, n))
+    dx = workspace.buffer("dx", (cin, n), dt)
     _shifted_conv(dp.reshape(cout, -1), taps.transpose(0, 2, 1),
                   [i // k * size + 2 * (wd + 3) - o
                    for i, o in enumerate(offsets)],
-                  dx, workspace.buffer("tap", (cin, n)))
+                  dx, workspace.buffer("tap", (cin, n), dt))
     return dx.reshape(cin, h, wd + 2)[:, :, :wd], dw, db
 
 
@@ -466,14 +472,17 @@ def forward(img: np.ndarray, params: np.ndarray, cfg: ArchConfig,
             workspace: dict | None = None):
     """Run the segmenter with the parameter vector ``params``; returns (p1,
     p2, p3, cache) with maps at 1/4, 1/2 and full resolution. The cache holds
-    what backward() needs, params included.
+    what backward() needs, params included. Every step computes in the dtype
+    of ``params``: the image is cast to it, and the maps, activations and
+    workspace buffers have it. float64 parameters give the maps backward()
+    needs; float32 ones give a forward for inference only.
 
     ``workspace`` (from new_workspace) lends every conv layer its reusable
     buffers: the padded inputs and im2col matrices and also the activations
     and decoder inputs in the cache are views of it, valid only until the
     next forward with that same workspace (p1, p2 and p3 are fresh arrays).
     Without one every buffer is fresh: a one-off forward keeps nothing."""
-    img = np.asarray(img, dtype=np.float64)
+    img = np.asarray(img, dtype=params.dtype)
     h, w = img.shape
     if h % 4 or w % 4:
         raise ValueError(f"input dims must be divisible by 4, got {h}x{w}")
@@ -487,7 +496,7 @@ def forward(img: np.ndarray, params: np.ndarray, cfg: ArchConfig,
 
     def cat(d, p, name):
         # concatenate([d, p[None]]) written into the layer's cat buffer
-        x = ws[name].buffer("cat", (d.shape[0] + 1,) + d.shape[1:])
+        x = ws[name].buffer("cat", (d.shape[0] + 1,) + d.shape[1:], d.dtype)
         x[:-1] = d
         x[-1] = p
         return x
@@ -496,7 +505,7 @@ def forward(img: np.ndarray, params: np.ndarray, cfg: ArchConfig,
     c1, f1 = conv_relu(e0, "enc1", 1)
     c2, e2 = conv_relu(f1, "enc2", 2)
     c3, f2 = conv_relu(e2, "enc3", 1)
-    u2 = up2(f2, ws["dec0"].buffer("up", f1.shape))
+    u2 = up2(f2, ws["dec0"].buffer("up", f1.shape, f1.dtype))
     fused, sa_cache = scale_attention_fuse(f1, u2, pv)
     c4, d1 = conv_relu(fused, "dec0", 2)
     p1 = expit(conv1x1(d1, pv["head1_w"], pv["head1_b"]))
@@ -521,8 +530,12 @@ def _head_backward(dp, p, d, name, params, grads):
 
 
 def backward(cache, dps) -> np.ndarray:
-    """Reverse pass; dps are the loss gradients on (p1, p2, p3). Returns the
-    gradient vector, laid out as the parameter vector."""
+    """Reverse pass of a float64 forward (any other dtype raises
+    ValueError); dps are the loss gradients on (p1, p2, p3). Returns the
+    float64 gradient vector, laid out as the parameter vector."""
+    if cache["params"].dtype != np.float64:
+        raise ValueError("backward needs a float64 forward, got "
+                         f"{cache['params'].dtype} parameters")
     cfg = cache["cfg"]
     c0, c1, c2, c3, c4, c5, c6 = cache["convs"]
     # relu(x) > 0 exactly where x > 0, so the activations give the masks

@@ -320,9 +320,10 @@ def train_schedule(dataset, cfg: TrainConfig):
 
 def predict(image: np.ndarray, params, arch: ArchConfig,
             workspace: dict | None = None) -> np.ndarray:
-    """Full-resolution probability map for one image. A caller that
-    predicts in sequence lends every call one ``workspace``
-    (model.new_workspace)."""
+    """Full-resolution probability map for one image, in the dtype of
+    ``params`` (model.forward): float64 in the pseudo-mask update, float32
+    in ``eval --model``. A caller that predicts in sequence lends every call
+    one ``workspace`` (model.new_workspace)."""
     _, _, p3, _ = forward(image, params, arch, workspace)
     return p3
 

@@ -238,20 +238,48 @@ class TestTrainEval:
         assert runs[0]["history_round1.csv"] != runs[0]["history_round2.csv"]
         assert runs[0] == runs[1]
 
+    def test_eval_same_bytes_at_1_and_2_blas_threads(self, tmp_path):
+        # eval --model runs float32 GEMMs; each thread count in a fresh
+        # process writes the same metrics, histogram and summary
+        data = tmp_path / "data"
+        samples, manifest = gen_dataset(SynthConfig(size=128, seed=24), 4)
+        write_dataset(samples, manifest, data)
+        arch = ArchConfig(channels=8)
+        params = init_params(24, arch)
+        rng = np.random.default_rng(24)
+        for view in param_views(params, arch).values():
+            view += rng.uniform(-0.3, 0.3, view.shape)
+        save_model(tmp_path / "m.bin", params, arch)
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"eval{threads}"
+            proc = run_process("eval", "--data", data, "--model",
+                               tmp_path / "m.bin", "--out", out,
+                               OPENBLAS_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+            runs.append({name: (out / name).read_bytes() for name in (
+                "metrics.csv", "histogram.csv", "summary.json")})
+        assert runs[0] == runs[1]
+
     def test_eval_model_predicts_on_the_calling_thread(self, dataset_dir,
                                                        tmp_path, monkeypatch):
+        # every predict also gets the one float32 copy of the float64
+        # model.bin vector, cast once
         arch = ArchConfig(channels=2)
         save_model(tmp_path / "m.bin", init_params(6, arch), arch)
-        real, threads = weaktrain.predict, []
+        real, threads, seen = weaktrain.predict, [], []
 
-        def recording(*args):
+        def recording(image, params, *args):
             threads.append(threading.get_ident())
-            return real(*args)
+            seen.append(params)
+            return real(image, params, *args)
 
         monkeypatch.setattr(weaktrain, "predict", recording)
         assert run("eval", "--data", str(dataset_dir), "--model",
                    str(tmp_path / "m.bin"), "--out", str(tmp_path / "e")) == 0
         assert threads == [threading.get_ident()] * 3
+        assert all(p is seen[0] for p in seen)
+        assert seen[0].dtype == np.float32
 
     def test_degenerate_rls_region_drops_the_term(self, dataset_dir,
                                                   tmp_path, monkeypatch,
@@ -562,6 +590,11 @@ class TestModelFile:
         pytest.param(lambda h, p: (h, p[:40] + np.float64("nan").tobytes()
                                    + p[48:]),
                      "the payload holds a non-finite value", id="nan-payload"),
+        # finite in float64, so it loads; eval's float32 cast would make it
+        # inf
+        pytest.param(lambda h, p: (h, p[:40] + np.float64(1e39).tobytes()
+                                   + p[48:]),
+                     "exceeds the float32 range", id="float32-overflow"),
     ])
     def test_bad_model_file_is_data_error(self, dataset_dir, tmp_path,
                                           capsys, edit, named):

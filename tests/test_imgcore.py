@@ -27,6 +27,16 @@ class TestPgmCodec:
         img = decode_pgm(b"P2\n# a comment\n2 1 100\n50 100")
         assert np.allclose(img, [[0.5, 1.0]])
 
+    def test_samples_scale_as_float64_division(self):
+        # decode divides the uint8 samples into the float64 image in one
+        # step; its bytes are those of the float64 copy divided by maxval,
+        # for every sample each maxval allows
+        for maxval in range(1, 256):
+            samples = np.arange(maxval + 1, dtype=np.uint8)
+            raw = b"P5\n%d 1\n%d\n" % (maxval + 1, maxval) + samples.tobytes()
+            want = samples.astype(np.float64) / maxval
+            assert decode_pgm(raw).tobytes() == want.tobytes()
+
     def test_p5_roundtrip_canonical(self):
         rng = np.random.default_rng(0)
         for _ in range(100):

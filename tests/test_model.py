@@ -121,10 +121,7 @@ class TestForward:
         ws = new_workspace()
         p1, p2, p3, cache = forward(img, params, cfg, ws)
         backward(cache, (p1, p2, p3))
-        nbytes = {id(flat): flat.nbytes for layer in ws.values()
-                  for store in (layer._flat, layer._scratch)
-                  for flat in store.values()}
-        assert sum(nbytes.values()) < 7.5 * 2 ** 20
+        assert _workspace_bytes(ws) < 7.5 * 2 ** 20
 
     @pytest.mark.parametrize("stride", [1, 2], ids=["1-zero", "2-zero"])
     def test_conv_matches_np_pad_reference(self, stride):
@@ -273,6 +270,115 @@ class TestForward:
         assert calls == [views[n + "_w"].shape for n in model.CONV_LAYERS]
         backward(cache, (np.ones_like(p1), np.ones_like(p2), np.ones_like(p3)))
         assert len(calls) == 7
+
+
+def _perturbed_params(cfg, seed):
+    # init_params with every parameter moved, so the heads and biases are
+    # not zero and the maps are not all 0.5
+    params = init_params(seed, cfg)
+    rng = np.random.default_rng(seed)
+    for view in param_views(params, cfg).values():
+        view += rng.uniform(-0.3, 0.3, view.shape)
+    return params
+
+
+def _arrays(obj):
+    """Every ndarray in a forward cache, through its tuples, lists, dicts
+    and workspaces."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for x in obj:
+            yield from _arrays(x)
+    elif isinstance(obj, dict):
+        for x in obj.values():
+            yield from _arrays(x)
+    elif isinstance(obj, ConvWorkspace):
+        yield from _arrays([obj._flat, obj._scratch])
+
+
+def _workspace_bytes(ws):
+    return sum({id(flat): flat.nbytes for layer in ws.values()
+                for store in (layer._flat, layer._scratch)
+                for flat in store.values()}.values())
+
+
+class TestFloat32Forward:
+    # float32 parameters give a forward for inference that computes in
+    # float32 throughout; float64 ones give the training forward's bytes
+
+    @pytest.mark.parametrize("h, w", [(16, 24), (128, 128)])
+    def test_every_array_is_float32(self, h, w):
+        cfg = ArchConfig(channels=8)
+        params = _perturbed_params(cfg, 20).astype(np.float32)
+        img = np.random.default_rng(20).uniform(0, 1, (h, w))
+        ws = new_workspace()
+        *maps, cache = forward(img, params, cfg, ws)
+        arrays = list(_arrays([maps, cache, ws]))
+        # the maps, params, views, conv inputs and kernels, activations,
+        # scale attention's vectors and every workspace buffer
+        assert len(arrays) > 60
+        assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
+        # the merged phase kernels are not in the cache; _MERGE is float64
+        w32 = param_views(params, cfg)["dec1_w"]
+        assert model._phase_taps(w32).dtype == np.float32
+
+    @pytest.mark.parametrize("channels", [1, 4, 8, 16])
+    @pytest.mark.parametrize("h, w", [(4, 4), (8, 8), (16, 24), (32, 32),
+                                      (64, 64), (128, 128)])
+    def test_maps_near_float64(self, channels, h, w):
+        # set from the dtype before measuring: room for 64 roundings of a
+        # probability, over seven layers whose sums take up to 153 terms; a
+        # map computed wrongly is off by far more
+        tol = 64 * np.finfo(np.float32).eps
+        cfg = ArchConfig(channels=channels)
+        params = _perturbed_params(cfg, channels)
+        img = np.random.default_rng(h * w).uniform(0, 1, (h, w))
+        want = forward(img, params, cfg)[:3]
+        got = forward(img, params.astype(np.float32), cfg)[:3]
+        for a, b in zip(got, want):
+            assert a.dtype == np.float32 and a.shape == b.shape
+            assert np.abs(a - b).max() <= tol
+
+    def test_workspace_switches_dtype(self):
+        # one workspace lent to a float64, a float32 and a float64 forward
+        # gives each the bytes of fresh buffers, and the float64 forwards
+        # the backward of fresh buffers too
+        cfg = ArchConfig(channels=4)
+        params = _perturbed_params(cfg, 21)
+        rng = np.random.default_rng(21)
+        img = rng.uniform(0, 1, (32, 32))
+        ws = new_workspace()
+        for dtype in (np.float64, np.float32, np.float64):
+            p = params.astype(dtype)
+            *lent, cache = forward(img, p, cfg, ws)
+            *fresh, fresh_cache = forward(img, p, cfg)
+            if dtype is np.float64:
+                dps = tuple(rng.normal(size=m.shape) for m in lent)
+                lent.append(backward(cache, dps))
+                fresh.append(backward(fresh_cache, dps))
+            for a, b in zip(lent, fresh):
+                assert a.dtype == dtype and a.tobytes() == b.tobytes()
+
+    def test_workspace_half_of_float64(self):
+        # a forward-only workspace at 128x128, channels 8: about 2.9 MiB in
+        # float32 against 5.8 MiB in float64
+        cfg = ArchConfig(channels=8)
+        params = _perturbed_params(cfg, 22)
+        img = np.random.default_rng(22).uniform(0, 1, (128, 128))
+        sizes = []
+        for dtype in (np.float64, np.float32):
+            ws = new_workspace()
+            forward(img, params.astype(dtype), cfg, ws)
+            sizes.append(_workspace_bytes(ws))
+        assert sizes[1] <= sizes[0] / 2
+
+    def test_backward_needs_float64(self):
+        cfg = ArchConfig(channels=4)
+        params = _perturbed_params(cfg, 23).astype(np.float32)
+        p1, p2, p3, cache = forward(np.zeros((16, 16)), params, cfg)
+        with pytest.raises(ValueError, match="float64 forward"):
+            backward(cache, (p1, p2, p3))
 
 
 class TestScaleAttention:
